@@ -286,22 +286,23 @@ class MachRing:
 
     def lookup_batch(
             self, digests: np.ndarray,
-            aux: np.ndarray) -> Tuple[np.ndarray, np.ndarray, bool]:
+            aux: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Frozen-ring lookup of many digests at once, without stats.
 
-        Returns ``(found, addresses, clean)`` where ``found`` marks
+        Returns ``(found, addresses, mismatch)`` where ``found`` marks
         digests resident in at least one frozen frame, ``addresses``
         holds the match address from the *newest* such frame (the one
-        the scalar walk would return), and ``clean`` is False when any
-        consulted entry's CRC16 aux disagrees with the query's — the
-        collision paths (silent match or CO-MACH skip) that the caller
-        must replay through the scalar loop instead.
+        the scalar walk would return), and ``mismatch`` marks found
+        digests whose newest entry carries a different CRC16 aux than
+        the query — a silent match without CO-MACH, a detected
+        collision (and a walk into older frames) with it.
 
         Pure: ring state and stats are untouched.
         """
         n = len(digests)
         found = np.zeros(n, dtype=bool)
         addresses = np.zeros(n, dtype=np.int64)
+        mismatch = np.zeros(n, dtype=bool)
         view = self._batch_view
         if view is None:
             parts_d, parts_a, parts_x = [], [], []
@@ -325,13 +326,14 @@ class MachRing:
             self._batch_view = view
         ring_d, ring_a, ring_x = view
         if not len(ring_d):
-            return found, addresses, True
+            return found, addresses, mismatch
         pos = np.searchsorted(ring_d, digests, side="left")
         pos = np.minimum(pos, len(ring_d) - 1)
         found = ring_d[pos] == digests
-        addresses[found] = ring_a[pos[found]]
-        clean = bool(np.array_equal(ring_x[pos[found]], aux[found]))
-        return found, addresses, clean
+        hit_pos = pos[found]
+        addresses[found] = ring_a[hit_pos]
+        mismatch[found] = ring_x[hit_pos] != aux[found]
+        return found, addresses, mismatch
 
     def _require_current(self) -> FrameMach:
         if self._current is None:

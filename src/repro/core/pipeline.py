@@ -193,7 +193,9 @@ def simulate(
             a :class:`repro.network.DeliveredNetworkModel` to drive
             availability (and hence the Race-to-Sleep batch cap) from
             a trace-driven delivery run.
-        vectorized: use the batched SoA write-path kernel (default).
+        vectorized: use the batched write path (default): the SoA
+            kernel for clean frames, the set-local replay for faulted
+            and eager-buffer ones.
             ``False`` forces the retained scalar per-block reference
             everywhere — the two settings produce bit-identical
             results, which the equivalence suite asserts.
@@ -271,14 +273,13 @@ def simulate(
     # faulted run is exactly as deterministic as a clean one.
     fault_plan = FaultPlan.from_config(cfg.faults)
     # The eager MACH-buffer prefetch consumes the frozen dump's
-    # iteration order, which the batched kernel emits in recency rather
-    # than way-slot order — that one configuration keeps the scalar
-    # write path.
+    # iteration order, so the write path must emit it in the scalar
+    # (set, way-slot) order, which its set-local replay does.
     writeback = WritebackEngine(
         video_cfg, sim_mach_cfg, scheme, cfg.dram.line_bytes,
         unbounded_mach=unbounded_mach, fault_plan=fault_plan,
-        vectorized=vectorized and not (
-            use_mach_buffer and buffer_policy == "eager"))
+        vectorized=vectorized,
+        ordered_dump=use_mach_buffer and buffer_policy == "eager")
     display = DisplayController(cfg.display, cfg.calibration.display_scan_duty)
     reader = DisplayReadEngine(
         cfg.display, sim_mach_cfg, video_cfg, cfg.dram.line_bytes,

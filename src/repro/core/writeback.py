@@ -18,7 +18,7 @@ The engine also emits the frame's line-granular write traffic
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -78,6 +78,81 @@ def slot_bytes_needed(video: VideoConfig, mach: MachConfig,
     return size
 
 
+@dataclass(frozen=True)
+class SetLocalReplay:
+    """Result of :func:`set_local_replay`, in block coordinates."""
+
+    hits: np.ndarray  # blocks whose current-MACH lookup hit, ascending
+    providers: np.ndarray  # per hit: the stored block its entry held
+    stored: np.ndarray  # blocks stored (and inserted), ascending
+    resident: np.ndarray  # stored blocks left in the MACH, dump order
+
+
+def set_local_replay(keys: np.ndarray, found: np.ndarray,
+                     store: np.ndarray, n_sets: int,
+                     ways: int) -> SetLocalReplay:
+    """Replay one frame's walk through its current MACH, exactly.
+
+    Per block in order, the scalar walk looks the digest up in the
+    current MACH (a hit makes it most recent), then in the frozen ring
+    (``found``).  A block that misses both is stored and inserted;
+    ``store`` forces a store on a block that matched — inserted, or
+    updated in place when already resident.  A plain dict per set
+    (digest -> way slot, least recent first) stands in for
+    :class:`~repro.cache.SetAssociativeCache`: a full set hands its LRU
+    victim's way slot to the new entry, so ``resident`` comes out in
+    the cache's (set, way-slot) iteration order.  An unbounded MACH is
+    one set with a way per block: it never evicts, and its slots count
+    first insertions, which is the oracle dict's order.
+
+    ``found`` must be a property of the digest, as it is while one
+    frame decodes against a fixed frozen ring.  Then only blocks that
+    miss the ring, or whose digest a forced store may have made
+    resident, can touch the current MACH; every other block is a
+    frozen-ring match and is skipped.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    walked = ~found
+    forced_found = found & store
+    if forced_found.any():
+        walked |= np.isin(keys, keys[forced_found])
+    walk_idx = np.flatnonzero(walked)
+
+    set_mask = n_sets - 1
+    lru: List[Dict[int, int]] = [{} for _ in range(n_sets)]
+    owner: Dict[int, int] = {}  # digest -> stored block its entry holds
+    hits: List[int] = []
+    providers: List[int] = []
+    stored: List[int] = []
+    for i, key, in_ring, forced in zip(
+            walk_idx.tolist(), keys[walk_idx].tolist(),
+            found[walk_idx].tolist(), store[walk_idx].tolist()):
+        entries = lru[key & set_mask]
+        slot = entries.pop(key, None)
+        if slot is not None:
+            entries[key] = slot  # now most recent
+            hits.append(i)
+            providers.append(owner[key])
+            if forced:
+                owner[key] = i
+                stored.append(i)
+        elif forced or not in_ring:
+            if len(entries) == ways:
+                slot = entries.pop(next(iter(entries)))
+            else:
+                slot = len(entries)
+            entries[key] = slot
+            owner[key] = i
+            stored.append(i)
+    resident = [owner[key]
+                for entries in lru
+                for key, _ in sorted(entries.items(),
+                                     key=lambda item: item[1])]
+    return SetLocalReplay(
+        np.array(hits, dtype=np.int64), np.array(providers, dtype=np.int64),
+        np.array(stored, dtype=np.int64), np.array(resident, dtype=np.int64))
+
+
 class WritebackEngine:
     """Stateful per-video write path for one scheme."""
 
@@ -85,19 +160,24 @@ class WritebackEngine:
                  scheme: SchemeConfig, line_bytes: int = 64,
                  unbounded_mach: bool = False,
                  fault_plan: Optional[FaultPlan] = None,
-                 vectorized: bool = True) -> None:
+                 vectorized: bool = True,
+                 ordered_dump: bool = False) -> None:
         self.video = video
         self.mach_config = mach
         self.scheme = scheme
         self.line_bytes = line_bytes
-        #: Use the SoA frame kernel where it is bit-exact; the scalar
-        #: per-block loop remains both the fallback (fault injection,
-        #: CRC collisions) and the reference the kernel is tested
-        #: against.  Callers that consume the frozen dump's *iteration
-        #: order* (the eager MACH-buffer prefetch) must pass False: the
-        #: kernel emits the same dump entries in recency order rather
-        #: than the scalar (set, way-slot) order.
+        #: Classify frames with the batched paths: the closed-form SoA
+        #: kernel for clean frames, the set-local replay for frames
+        #: with injected collisions, silent CRC16 disagreements or an
+        #: ordered dump.  ``False`` forces the scalar per-block walk,
+        #: the reference both are tested against; with CO-MACH on, a
+        #: frame with a detected collision also takes that walk.
         self.vectorized = vectorized
+        #: The caller consumes the frozen dump's *iteration order* (the
+        #: eager MACH-buffer prefetch).  The SoA kernel emits the dump
+        #: in recency order; the replay reproduces the scalar (set,
+        #: way-slot) order, so such engines classify every frame with it.
+        self.ordered_dump = ordered_dump
         self.ring: Optional[MachRing] = (
             MachRing(mach, unbounded=unbounded_mach)
             if scheme.uses_mach else None)
@@ -196,22 +276,35 @@ class WritebackEngine:
         ring = self.ring
         tags, aux = self._digest_frame(frame)
         dcc_sizes = self._dcc_sizes(frame)
-        if self.vectorized and self._fault_plan is None:
-            ring.ensure_idle()
-            found, addresses, clean = ring.lookup_batch(tags, aux)
-            if clean and self._aux_consistent(tags, aux):
-                return self._process_mach_kernel(
-                    frame, slot_base, tags, aux, dcc_sizes, found, addresses)
-        return self._process_mach_scalar(
-            frame, slot_base, tags, aux, dcc_sizes)
+        if not self.vectorized:
+            return self._process_mach_scalar(
+                frame, slot_base, tags, aux, dcc_sizes)
+        ring.ensure_idle()
+        found, addresses, mismatch = ring.lookup_batch(tags, aux)
+        consistent = not mismatch.any() and self._aux_consistent(tags, aux)
+        if not consistent and self.mach_config.co_mach:
+            # A detected collision walks older frames and spills to the
+            # CO-MACH side cache, which only the scalar walk models.
+            return self._process_mach_scalar(
+                frame, slot_base, tags, aux, dcc_sizes)
+        forced = (self._fault_plan.digest_collision_mask(
+            frame.index, frame.n_blocks)
+            if self._fault_plan is not None else None)
+        if (consistent and not self.ordered_dump
+                and (forced is None or not forced.any())):
+            return self._process_mach_kernel(
+                frame, slot_base, tags, aux, dcc_sizes, found, addresses)
+        return self._process_mach_replay(
+            frame, slot_base, tags, aux, dcc_sizes, found, addresses,
+            mismatch, forced)
 
     @staticmethod
     def _aux_consistent(tags: np.ndarray, aux: np.ndarray) -> bool:
         """True when no digest appears with two different CRC16 auxes.
 
-        A natural CRC32 collision inside the frame would make the
-        scalar loop take a collision path (silent match or CO-MACH
-        spill); such frames replay through the scalar reference.
+        A natural CRC32 collision inside the frame makes the scalar
+        loop take a collision path: a silent match (counted by the
+        replay) or, with CO-MACH, a spill (the scalar walk).
         """
         if not aux.any():
             return True
@@ -303,29 +396,20 @@ class WritebackEngine:
                              addresses: np.ndarray) -> WritebackResult:
         """SoA classification of a whole frame at once.
 
-        Preconditions (checked by the dispatcher): no fault plan, no
-        CRC16 aux disagreement against the frozen ring or within the
-        frame.  Under those, every block found in the frozen ring is
+        Preconditions (checked by the dispatcher): no injected
+        collision in the frame, no CRC16 aux disagreement against the
+        frozen ring or within the frame, and no consumer of the dump's
+        order.  Under those, every block found in the frozen ring is
         INTER (a frozen digest can never also be resident in the
         current MACH), and the remaining blocks replay an LRU touch
         sequence that :func:`repro.core.soa.lru_touch_classify` solves
         in closed form — bit-identical to the scalar walk.
         """
         assert self.ring is not None
-        ring = self.ring
-        n = frame.n_blocks
         mach = self.mach_config
-        table_base, bases_base, data_base = self._layout_bases(
-            frame, slot_base)
-        digest_mode = self._digest_layout is LayoutMode.POINTER_DIGEST
-
-        kinds = np.empty(n, dtype=np.uint8)
-        pointers = np.empty(n, dtype=np.int64)
-        digests_out = np.zeros(n, dtype=np.uint64)
-
         touch_idx = np.flatnonzero(~found)
         touch_keys = tags[touch_idx]
-        if ring.unbounded:
+        if self.ring.unbounded:
             # Oracle MACH: first occurrence stores, the rest hit it.
             _, first_pos, inverse = np.unique(
                 touch_keys, return_index=True, return_inverse=True)
@@ -342,6 +426,86 @@ class WritebackEngine:
             provider_block = touch_idx[cls.provider[hits]]
             stored_idx = touch_idx[~hits]
             resident_idx = touch_idx[cls.resident_touch]
+        return self._commit_frame(
+            frame, slot_base, tags, aux, dcc_sizes, addresses, stored_idx,
+            touch_idx[hits], provider_block, np.flatnonzero(found),
+            resident_idx)
+
+    def _process_mach_replay(self, frame: DecodedFrame, slot_base: int,
+                             tags: np.ndarray, aux: np.ndarray,
+                             dcc_sizes: Optional[np.ndarray],
+                             found: np.ndarray, addresses: np.ndarray,
+                             mismatch: np.ndarray,
+                             forced: Optional[np.ndarray]
+                             ) -> WritebackResult:
+        """Classify a frame with :func:`set_local_replay`.
+
+        Handles what the SoA kernel does not: injected collisions
+        (``forced``), silent CRC16 disagreements, and the scalar dump
+        order.  Stats the scalar walk counts per block — injected and
+        silent collisions, fallback writes — are counted from the
+        replay's arrays.
+
+        Preconditions (checked by the dispatcher): CO-MACH is off, or
+        no CRC16 aux disagrees against the frozen ring or within the
+        frame (its side cache then stays empty).
+        """
+        assert self.ring is not None
+        ring = self.ring
+        mach = self.mach_config
+        n = frame.n_blocks
+        if forced is None:
+            forced = np.zeros(n, dtype=bool)
+        # Verification turns an injected collision into a stored block;
+        # without it the wrong match stands and only stats change.
+        store = forced if self._verify else np.zeros(n, dtype=bool)
+        n_sets, ways = ((1, n) if ring.unbounded
+                        else (mach.sets_per_mach, mach.ways))
+        replay = set_local_replay(tags, found, store, n_sets, ways)
+        hits = replay.hits
+        is_hit = np.zeros(n, dtype=bool)
+        is_hit[hits] = True
+
+        stats = ring.stats
+        injected = int(np.count_nonzero(forced & (found | is_hit)))
+        stats.injected_collisions += injected
+        if self._verify:
+            stats.fallback_writes += injected
+        else:
+            stats.silent_collisions += injected
+        stats.silent_collisions += (
+            int(np.count_nonzero(aux[replay.providers] != aux[hits]))
+            + int(np.count_nonzero(mismatch & ~is_hit)))
+        kept = ~store[hits]
+        return self._commit_frame(
+            frame, slot_base, tags, aux, dcc_sizes, addresses,
+            replay.stored, hits[kept], replay.providers[kept],
+            np.flatnonzero(found & ~is_hit & ~store), replay.resident)
+
+    def _commit_frame(self, frame: DecodedFrame, slot_base: int,
+                      tags: np.ndarray, aux: np.ndarray,
+                      dcc_sizes: Optional[np.ndarray],
+                      addresses: np.ndarray, stored_idx: np.ndarray,
+                      intra_idx: np.ndarray, provider_block: np.ndarray,
+                      inter_idx: np.ndarray,
+                      resident_idx: np.ndarray) -> WritebackResult:
+        """Lay out one classified frame and rotate its MACH into the ring.
+
+        Shared by the batched classifiers.  ``stored_idx`` (ascending)
+        are the blocks written to the data region, ``intra_idx`` the
+        current-MACH hits with the stored block each one points at in
+        ``provider_block``, ``inter_idx`` the frozen-ring matches (at
+        ``addresses``), and ``resident_idx`` the stored blocks left in
+        the frame's MACH, in dump order.
+        """
+        assert self.ring is not None
+        ring = self.ring
+        n = frame.n_blocks
+        table_base, bases_base, data_base = self._layout_bases(
+            frame, slot_base)
+        kinds = np.empty(n, dtype=np.uint8)
+        pointers = np.empty(n, dtype=np.int64)
+        digests_out = np.zeros(n, dtype=np.uint64)
 
         # Stored blocks pack into the data region in block order.
         stored_sizes = (dcc_sizes[stored_idx].astype(np.int64)
@@ -353,13 +517,11 @@ class WritebackEngine:
         pointers[stored_idx] = data_base + ends - stored_sizes
         kinds[stored_idx] = int(RecordKind.STORED)
 
-        intra_idx = touch_idx[hits]
         kinds[intra_idx] = int(RecordKind.POINTER)
         pointers[intra_idx] = pointers[provider_block]
 
-        inter_idx = np.flatnonzero(found)
         pointers[inter_idx] = addresses[inter_idx]
-        if digest_mode:
+        if self._digest_layout is LayoutMode.POINTER_DIGEST:
             kinds[inter_idx] = int(RecordKind.DIGEST)
             digests_out[inter_idx] = tags[inter_idx].astype(np.uint64)
         else:
@@ -369,7 +531,8 @@ class WritebackEngine:
         # (first match occurrence in block order).
         n_intra = len(intra_idx)
         n_inter = len(inter_idx)
-        matched = found.copy()
+        matched = np.zeros(n, dtype=bool)
+        matched[inter_idx] = True
         matched[intra_idx] = True
         matched_tags = tags[matched]
         if len(matched_tags):

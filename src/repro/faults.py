@@ -180,6 +180,19 @@ class FaultPlan:
         return _hash_u01(self.config.seed, _SITE_COLLISION, frame_index,
                          block_index) < rate
 
+    def digest_collision_mask(self, frame_index: int,
+                              n_blocks: int) -> np.ndarray:
+        """:meth:`digest_collision` for blocks ``0..n_blocks-1`` at once.
+
+        Bit-identical to the per-block query: the same splitmix64 chain,
+        evaluated as one numpy pass over the block indices.
+        """
+        rate = self.config.digest_collision
+        if rate <= 0.0 or n_blocks <= 0:
+            return np.zeros(max(n_blocks, 0), dtype=bool)
+        return _hash_u01_vector(self.config.seed, _SITE_COLLISION,
+                                frame_index, n_blocks) < rate
+
 
 class ShardFault(Enum):
     """What an injected shard fault does to one stripe attempt."""

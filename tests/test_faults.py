@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import (
     GAB,
@@ -102,6 +104,20 @@ class TestFaultPlanDeterminism:
         plan = FaultPlan(FaultConfig(segment_loss=0.5, seed=0))
         fractions = [plan.loss_fraction(i, 0) for i in range(100)]
         assert all(0.0 < f < 1.0 for f in fractions)
+
+    @given(seed=st.integers(0, 2**63 - 1),
+           frame=st.integers(0, 2**40),
+           rate=st.one_of(st.sampled_from([0.0, 1.0]),
+                          st.floats(0.0, 1.0)),
+           n_blocks=st.integers(0, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_collision_mask_matches_per_block(self, seed, frame, rate,
+                                              n_blocks):
+        plan = FaultPlan(FaultConfig(digest_collision=rate, seed=seed))
+        mask = plan.digest_collision_mask(frame, n_blocks)
+        assert mask.dtype == np.bool_
+        assert mask.tolist() == [plan.digest_collision(frame, block)
+                                 for block in range(n_blocks)]
 
     def test_block_corruption_scales_with_ber(self):
         low = FaultPlan(FaultConfig(block_bit_error=1e-7, seed=4))
