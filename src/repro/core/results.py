@@ -2,20 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Annotated, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..decoder.power import PowerState
+from ..jsonable import FloatArray, Jsonable, jsonable
 from ..memory.controller import AccessStats
 from .energy import EnergyBreakdown
 from .readpath import ReadStats
 from .writeback import FrameMatches
 
 
+@jsonable
 @dataclass
-class FrameTimeline:
+class FrameTimeline(Jsonable):
     """Per-frame time/energy splits, the substance of Figs. 2 and 4.
 
     All arrays are indexed by frame.  Slack decisions made after a
@@ -23,19 +25,19 @@ class FrameTimeline:
     paper presents per-frame transition overheads under batching.
     """
 
-    decode_time: np.ndarray  # s per frame
-    exec_energy: np.ndarray  # J per frame
-    idle_time: np.ndarray  # s per frame
-    s1_time: np.ndarray  # s per frame
-    s3_time: np.ndarray  # s per frame
-    transition_time: np.ndarray  # s per frame
-    idle_energy: np.ndarray  # J per frame
-    s1_energy: np.ndarray  # J per frame
-    s3_energy: np.ndarray  # J per frame
-    transition_energy: np.ndarray  # J per frame
-    finish: np.ndarray  # s, absolute decode-finish times
-    deadline: np.ndarray  # s, absolute display deadlines
-    dropped: np.ndarray
+    decode_time: FloatArray  # s per frame
+    exec_energy: FloatArray  # J per frame
+    idle_time: FloatArray  # s per frame
+    s1_time: FloatArray  # s per frame
+    s3_time: FloatArray  # s per frame
+    transition_time: FloatArray  # s per frame
+    idle_energy: FloatArray  # J per frame
+    s1_energy: FloatArray  # J per frame
+    s3_energy: FloatArray  # J per frame
+    transition_energy: FloatArray  # J per frame
+    finish: FloatArray  # s, absolute decode-finish times
+    deadline: FloatArray  # s, absolute display deadlines
+    dropped: Annotated[np.ndarray, np.bool_]
 
     @classmethod
     def empty(cls, n: int) -> "FrameTimeline":
@@ -59,26 +61,17 @@ class FrameTimeline:
         return (self.exec_energy + self.idle_energy + self.s1_energy
                 + self.s3_energy + self.transition_energy)
 
-    def to_jsonable(self) -> Dict[str, list]:
-        """Plain-list form for JSON checkpoints (floats round-trip
-        exactly: json emits repr, and ``float(repr(x)) == x``)."""
-        return {f.name: getattr(self, f.name).tolist()
-                for f in fields(self)}
 
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, list]) -> "FrameTimeline":
-        kwargs = {
-            f.name: np.asarray(
-                data[f.name],
-                dtype=bool if f.name == "dropped" else np.float64)
-            for f in fields(cls)
-        }
-        return cls(**kwargs)
-
-
+@jsonable
 @dataclass
-class RunResult:
-    """Everything one (video, scheme) simulation produced."""
+class RunResult(Jsonable):
+    """Everything one (video, scheme) simulation produced.
+
+    The matrix runner checkpoints finished jobs through
+    :mod:`repro.jsonable`, so the JSON must round-trip bit-identically:
+    field order is the wire format, and a new field needs a default so
+    older checkpoints still load.
+    """
 
     profile_key: str
     scheme_name: str
@@ -144,94 +137,6 @@ class RunResult:
             "read_savings": self.read_savings,
             "transitions": float(self.transitions),
         }
-
-    # -- JSON checkpointing -------------------------------------------------
-    #
-    # The runner persists finished jobs across crashes, so a RunResult
-    # must survive a JSON round trip *bit-identically*: json floats are
-    # emitted as repr and ``float(repr(x)) == x`` for every finite
-    # float, so no precision is lost anywhere below.
-
-    def to_jsonable(self) -> Dict[str, object]:
-        """Lossless plain-data form (dicts/lists/scalars only)."""
-        return {
-            "profile_key": self.profile_key,
-            "scheme_name": self.scheme_name,
-            "n_frames": self.n_frames,
-            "elapsed": self.elapsed,
-            "energy": self.energy.as_dict(),
-            "drops": self.drops,
-            "residency": {s.name: v for s, v in self.residency.items()},
-            "transitions": self.transitions,
-            "timeline": self.timeline.to_jsonable(),
-            "matches": (None if self.matches is None else {
-                "intra": self.matches.intra,
-                "inter": self.matches.inter,
-                "none": self.matches.none,
-            }),
-            "write_bytes": self.write_bytes,
-            "raw_write_bytes": self.raw_write_bytes,
-            "read_stats": (None if self.read_stats is None else {
-                f.name: getattr(self.read_stats, f.name)
-                for f in fields(self.read_stats)
-            }),
-            "mem_stats": {
-                "activations": self.mem_stats.activations,
-                "read_bursts": self.mem_stats.read_bursts,
-                "write_bursts": self.mem_stats.write_bursts,
-                "by_agent": dict(self.mem_stats.by_agent),
-                "acts_by_agent": dict(self.mem_stats.acts_by_agent),
-            },
-            "peak_footprint_native_mb": self.peak_footprint_native_mb,
-            "silent_collisions": self.silent_collisions,
-            "detected_collisions": self.detected_collisions,
-            "concealed_blocks": self.concealed_blocks,
-            "injected_collisions": self.injected_collisions,
-            "fallback_writes": self.fallback_writes,
-            "throttle_seconds": self.throttle_seconds,
-            "degradation_steps": self.degradation_steps,
-            "frames_at_nominal": self.frames_at_nominal,
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, Any]) -> "RunResult":
-        """Inverse of :meth:`to_jsonable`."""
-        matches = data["matches"]
-        read_stats = data["read_stats"]
-        mem = data["mem_stats"]
-        return cls(
-            profile_key=data["profile_key"],
-            scheme_name=data["scheme_name"],
-            n_frames=data["n_frames"],
-            elapsed=data["elapsed"],
-            energy=EnergyBreakdown(**data["energy"]),
-            drops=data["drops"],
-            residency={PowerState[name]: v
-                       for name, v in data["residency"].items()},
-            transitions=data["transitions"],
-            timeline=FrameTimeline.from_jsonable(data["timeline"]),
-            matches=None if matches is None else FrameMatches(**matches),
-            write_bytes=data["write_bytes"],
-            raw_write_bytes=data["raw_write_bytes"],
-            read_stats=(None if read_stats is None
-                        else ReadStats(**read_stats)),
-            mem_stats=AccessStats(
-                activations=mem["activations"],
-                read_bursts=mem["read_bursts"],
-                write_bursts=mem["write_bursts"],
-                by_agent=dict(mem["by_agent"]),
-                acts_by_agent=dict(mem["acts_by_agent"]),
-            ),
-            peak_footprint_native_mb=data["peak_footprint_native_mb"],
-            silent_collisions=data.get("silent_collisions", 0),
-            detected_collisions=data.get("detected_collisions", 0),
-            concealed_blocks=data.get("concealed_blocks", 0),
-            injected_collisions=data.get("injected_collisions", 0),
-            fallback_writes=data.get("fallback_writes", 0),
-            throttle_seconds=data.get("throttle_seconds", 0.0),
-            degradation_steps=data.get("degradation_steps", 0),
-            frames_at_nominal=data.get("frames_at_nominal", 0),
-        )
 
 
 @dataclass

@@ -36,6 +36,7 @@ from ..analysis import format_table
 from ..analysis.ascii_plot import sparkline
 from ..config import SimulationConfig
 from ..errors import FleetError
+from ..jsonable import Jsonable, jsonable
 from .cell import CellLoadAccumulator, ContentionField
 from .population import PopulationModel, PopulationSpec, SessionChunk
 from .sketches import HistogramSketch, ReservoirSample, StreamingMoments
@@ -59,8 +60,9 @@ HIST_METRICS: Tuple[str, ...] = ("total_energy", "stall_seconds")
 BANDWIDTH_FLOOR = 10_000.0
 
 
+@jsonable
 @dataclass
-class CohortAggregate:
+class CohortAggregate(Jsonable):
     """Bounded-memory summary of one cohort's session metrics."""
 
     key: str
@@ -113,37 +115,16 @@ class CohortAggregate:
             sample=self.sample.merge(other.sample),
         )
 
-    def to_jsonable(self) -> Dict[str, object]:
-        """Lossless plain-data form."""
-        return {
-            "key": self.key,
-            "moments": {m: s.to_jsonable()
-                        for m, s in self.moments.items()},
-            "hists": {m: h.to_jsonable() for m, h in self.hists.items()},
-            "sample": self.sample.to_jsonable(),
-        }
 
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, object]) -> "CohortAggregate":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(
-            key=str(data["key"]),
-            moments={m: StreamingMoments.from_jsonable(s)
-                     for m, s in data["moments"].items()},  # type: ignore[union-attr]
-            hists={m: HistogramSketch.from_jsonable(h)
-                   for m, h in data["hists"].items()},  # type: ignore[union-attr]
-            sample=ReservoirSample.from_jsonable(
-                data["sample"]),  # type: ignore[arg-type]
-        )
-
-
+@jsonable
 @dataclass
-class FleetResult:
+class FleetResult(Jsonable):
     """Cohort distributions for one fleet run.
 
     Everything here is shard-layout independent by construction; two
     runs of the same ``(spec, n_sessions, seed, contention)`` agree on
-    :meth:`to_jsonable` bit-for-bit whatever ``shards`` was.
+    :meth:`to_jsonable` bit-for-bit whatever ``shards`` was.  The merge
+    plane builds ``cohorts`` sorted by key, and the JSON keeps that order.
     """
 
     spec_fingerprint: str
@@ -161,36 +142,6 @@ class FleetResult:
         except KeyError:
             raise FleetError(f"unknown cohort {key!r}; known: "
                              f"{sorted(self.cohorts)}") from None
-
-    def to_jsonable(self) -> Dict[str, object]:
-        """Lossless plain-data form (the ``--json`` report)."""
-        return {
-            "spec_fingerprint": self.spec_fingerprint,
-            "n_sessions": self.n_sessions,
-            "seed": self.seed,
-            "contention": self.contention,
-            "cohorts": {key: cohort.to_jsonable()
-                        for key, cohort in sorted(self.cohorts.items())},
-            "saturated_cell_epochs": self.saturated_cell_epochs,
-            "peak_cell_load": self.peak_cell_load,
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, object]) -> "FleetResult":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(
-            spec_fingerprint=str(data["spec_fingerprint"]),
-            n_sessions=int(data["n_sessions"]),  # type: ignore[arg-type]
-            seed=int(data["seed"]),  # type: ignore[arg-type]
-            contention=bool(data["contention"]),
-            cohorts={key: CohortAggregate.from_jsonable(cohort)
-                     for key, cohort
-                     in data["cohorts"].items()},  # type: ignore[union-attr]
-            saturated_cell_epochs=int(
-                data["saturated_cell_epochs"]),  # type: ignore[arg-type]
-            peak_cell_load=float(
-                data["peak_cell_load"]),  # type: ignore[arg-type]
-        )
 
     def report(self) -> str:
         """Human-readable cohort tables plus an energy sparkline."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, Tuple
 
 import numpy as np
@@ -41,6 +41,7 @@ from ..config import (
     SimulationConfig,
 )
 from ..errors import ConfigError
+from ..jsonable import Jsonable, jsonable
 from ..units import MBPS, W
 from ..video import workload
 from .sketches import hash_u01_array
@@ -98,8 +99,9 @@ def _cumulative(weights: Tuple[float, ...]) -> np.ndarray:
     return np.cumsum(np.asarray(weights, dtype=np.float64)) / total
 
 
+@jsonable
 @dataclass(frozen=True)
-class LognormalComponent:
+class LognormalComponent(Jsonable):
     """One mixture component of a region's access-bandwidth law."""
 
     weight: float = 1.0
@@ -111,21 +113,10 @@ class LognormalComponent:
         _require(self.median > 0, "bandwidth median must be positive")
         _require(self.sigma >= 0, "sigma cannot be negative")
 
-    def to_jsonable(self) -> Dict[str, object]:
-        """Plain-data form."""
-        return {"weight": self.weight, "median": self.median,
-                "sigma": self.sigma}
 
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, object]) -> "LognormalComponent":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(weight=float(data["weight"]),  # type: ignore[arg-type]
-                   median=float(data["median"]),  # type: ignore[arg-type]
-                   sigma=float(data["sigma"]))  # type: ignore[arg-type]
-
-
+@jsonable
 @dataclass(frozen=True)
-class DeviceClass:
+class DeviceClass(Jsonable):
     """A handheld hardware profile plus the scheme its firmware ships.
 
     The class is expressed as deltas on the paper's reference device
@@ -177,18 +168,10 @@ class DeviceClass:
         return replace(base, decoder=decoder, display=display,
                        thermal=thermal, mach=mach)
 
-    def to_jsonable(self) -> Dict[str, object]:
-        """Plain-data form."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, object]) -> "DeviceClass":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(**data)  # type: ignore[arg-type]
-
-
+@jsonable
 @dataclass(frozen=True)
-class RegionSpec:
+class RegionSpec(Jsonable):
     """A deployment region: cells, shared capacity, bandwidth law."""
 
     name: str
@@ -207,32 +190,10 @@ class RegionSpec:
         _require(len(self.bandwidth) >= 1,
                  "region needs at least one bandwidth component")
 
-    def to_jsonable(self) -> Dict[str, object]:
-        """Plain-data form."""
-        return {
-            "name": self.name,
-            "weight": self.weight,
-            "cells": self.cells,
-            "cell_capacity": self.cell_capacity,
-            "bandwidth": [c.to_jsonable() for c in self.bandwidth],
-        }
 
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, object]) -> "RegionSpec":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(
-            name=str(data["name"]),
-            weight=float(data["weight"]),  # type: ignore[arg-type]
-            cells=int(data["cells"]),  # type: ignore[arg-type]
-            cell_capacity=float(data["cell_capacity"]),  # type: ignore[arg-type]
-            bandwidth=tuple(
-                LognormalComponent.from_jsonable(c)
-                for c in data["bandwidth"]),  # type: ignore[union-attr]
-        )
-
-
+@jsonable
 @dataclass(frozen=True)
-class PopulationSpec:
+class PopulationSpec(Jsonable):
     """Everything a fleet run needs, declaratively.
 
     The spec is pure data: it serializes to JSON (``repro fleet
@@ -304,61 +265,6 @@ class PopulationSpec:
         """Epochs covering every session's (start, start+duration)."""
         horizon = self.arrival_window_seconds + self.duration_max_seconds
         return int(math.ceil(horizon / self.epoch_seconds)) + 1
-
-    def to_jsonable(self) -> Dict[str, object]:
-        """Plain-data form (the ``repro fleet --spec`` file format)."""
-        return {
-            "device_classes": [d.to_jsonable()
-                               for d in self.device_classes],
-            "regions": [r.to_jsonable() for r in self.regions],
-            "titles": list(self.titles),
-            "zipf_exponent": self.zipf_exponent,
-            "duration_median_seconds": self.duration_median_seconds,
-            "duration_sigma": self.duration_sigma,
-            "duration_min_seconds": self.duration_min_seconds,
-            "duration_max_seconds": self.duration_max_seconds,
-            "arrival_window_seconds": self.arrival_window_seconds,
-            "epoch_seconds": self.epoch_seconds,
-            "abr_safety": self.abr_safety,
-            "ladder": list(self.ladder),
-            "preroll_seconds": self.preroll_seconds,
-            "buffer_seconds": self.buffer_seconds,
-            "watermark_seconds": self.watermark_seconds,
-            "radio": {f.name: getattr(self.radio, f.name)
-                      for f in fields(self.radio)},
-            "calib_frames": self.calib_frames,
-            "calib_seed": self.calib_seed,
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, object]) -> "PopulationSpec":
-        """Inverse of :meth:`to_jsonable` (tolerates omitted fields)."""
-        kwargs: Dict[str, object] = {}
-        if "device_classes" in data:
-            kwargs["device_classes"] = tuple(
-                DeviceClass.from_jsonable(d)
-                for d in data["device_classes"])  # type: ignore[union-attr]
-        if "regions" in data:
-            kwargs["regions"] = tuple(
-                RegionSpec.from_jsonable(r)
-                for r in data["regions"])  # type: ignore[union-attr]
-        if "titles" in data:
-            kwargs["titles"] = tuple(data["titles"])  # type: ignore[arg-type]
-        if "ladder" in data:
-            kwargs["ladder"] = tuple(data["ladder"])  # type: ignore[arg-type]
-        if "radio" in data:
-            kwargs["radio"] = RadioConfig(**data["radio"])  # type: ignore[arg-type]
-        for name in ("zipf_exponent", "duration_median_seconds",
-                     "duration_sigma", "duration_min_seconds",
-                     "duration_max_seconds", "arrival_window_seconds",
-                     "epoch_seconds", "abr_safety", "preroll_seconds",
-                     "buffer_seconds", "watermark_seconds"):
-            if name in data:
-                kwargs[name] = float(data[name])  # type: ignore[arg-type]
-        for name in ("calib_frames", "calib_seed"):
-            if name in data:
-                kwargs[name] = int(data[name])  # type: ignore[arg-type]
-        return cls(**kwargs)  # type: ignore[arg-type]
 
     def fingerprint(self) -> str:
         """Stable content hash (calibration cache key, report tag)."""

@@ -45,6 +45,7 @@ import numpy as np
 
 from ..checkpointing import load_checkpoint, save_checkpoint
 from ..errors import FleetError, ShardError
+from ..jsonable import Jsonable, decode, jsonable
 from .cell import CellLoadAccumulator, ContentionField
 from .engine import (
     CohortAggregate,
@@ -121,8 +122,9 @@ def payload_checksum(payload: Dict[str, object]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+@jsonable
 @dataclass(frozen=True)
-class StripePartial:
+class StripePartial(Jsonable):
     """One stripe's result as shipped from worker to merge plane.
 
     ``checksum`` is computed *by the producer* over the canonical JSON
@@ -144,16 +146,6 @@ class StripePartial:
                    n_sessions=n_sessions, payload=payload,
                    checksum=payload_checksum(payload))
 
-    def to_jsonable(self) -> Dict[str, object]:
-        """Lossless plain-data form (the checkpoint entry format)."""
-        return {
-            "phase": self.phase,
-            "stripe_id": self.stripe_id,
-            "n_sessions": self.n_sessions,
-            "payload": self.payload,
-            "checksum": self.checksum,
-        }
-
     @classmethod
     def from_jsonable(cls, data: object) -> "StripePartial":
         """Inverse of :meth:`to_jsonable`; checksum-verified.
@@ -164,16 +156,10 @@ class StripePartial:
         if not isinstance(data, dict):
             raise TypeError(f"partial is {type(data).__name__}, "
                             "not an object")
-        payload = data["payload"]
-        if not isinstance(payload, dict):
+        if not isinstance(data["payload"], dict):
             raise TypeError("partial payload is not an object")
-        partial = cls(phase=str(data["phase"]),
-                      stripe_id=int(data["stripe_id"]),  # type: ignore[arg-type]
-                      n_sessions=int(data["n_sessions"]),  # type: ignore[arg-type]
-                      payload=payload,
-                      checksum=str(data["checksum"]))
-        expected = payload_checksum(partial.payload)
-        if partial.checksum != expected:
+        partial = decode(cls, data)
+        if partial.checksum != payload_checksum(partial.payload):
             raise ValueError(
                 f"stripe ({partial.phase}, {partial.stripe_id}) "
                 "checksum mismatch")
@@ -409,7 +395,7 @@ class MergePlane:
             n_sessions=n_sessions,
             seed=self.seed,
             contention=contention,
-            cohorts=self._cohorts,
+            cohorts=dict(sorted(self._cohorts.items())),
             saturated_cell_epochs=(field.saturated_cell_epochs
                                    if field is not None else 0),
             peak_cell_load=(field.peak_load

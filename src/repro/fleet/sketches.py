@@ -34,11 +34,12 @@ threads through the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Annotated, Callable, List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import FleetError
+from ..jsonable import Jsonable, jsonable
 
 _MASK64 = (1 << 64) - 1
 #: 2**-53 — maps the top 53 bits of a hash to a uniform in [0, 1).
@@ -91,8 +92,9 @@ def hash_u01_array(seed: int, site: int,
     return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
+@jsonable
 @dataclass
-class StreamingMoments:
+class StreamingMoments(Jsonable):
     """Exact-integer streaming mean/variance/min/max.
 
     Values are snapped to a ``quantum`` grid on entry; all state is
@@ -175,34 +177,10 @@ class StreamingMoments:
     def maximum(self) -> float:
         return 0.0 if self.q_max is None else self.quantum * self.q_max
 
-    def to_jsonable(self) -> Dict[str, object]:
-        """Lossless plain-data form (Python ints are exact in JSON)."""
-        return {
-            "quantum": self.quantum,
-            "count": self.count,
-            "q_sum": self.q_sum,
-            "q_sum_sq": self.q_sum_sq,
-            "q_min": self.q_min,
-            "q_max": self.q_max,
-        }
 
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, object]) -> "StreamingMoments":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(
-            quantum=float(data["quantum"]),  # type: ignore[arg-type]
-            count=int(data["count"]),  # type: ignore[arg-type]
-            q_sum=int(data["q_sum"]),  # type: ignore[arg-type]
-            q_sum_sq=int(data["q_sum_sq"]),  # type: ignore[arg-type]
-            q_min=(None if data["q_min"] is None
-                   else int(data["q_min"])),  # type: ignore[arg-type]
-            q_max=(None if data["q_max"] is None
-                   else int(data["q_max"])),  # type: ignore[arg-type]
-        )
-
-
+@jsonable
 @dataclass
-class HistogramSketch:
+class HistogramSketch(Jsonable):
     """Log-spaced histogram with exact integer merges.
 
     Bins cover ``[10**lo_exp, 10**hi_exp)`` with ``bins_per_decade``
@@ -217,7 +195,8 @@ class HistogramSketch:
     bins_per_decade: int = 32
     lo_exp: int = -6
     hi_exp: int = 7
-    counts: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    counts: Annotated[np.ndarray, np.int64] = field(
+        default_factory=lambda: np.zeros(0, np.int64))
 
     def __post_init__(self) -> None:
         if self.bins_per_decade < 1 or self.hi_exp <= self.lo_exp:
@@ -292,33 +271,15 @@ class HistogramSketch:
             return ()
         return (int(occupied[0]), int(occupied[-1]))
 
-    def to_jsonable(self) -> Dict[str, object]:
-        """Lossless plain-data form."""
-        return {
-            "bins_per_decade": self.bins_per_decade,
-            "lo_exp": self.lo_exp,
-            "hi_exp": self.hi_exp,
-            "counts": [int(c) for c in self.counts],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, object]) -> "HistogramSketch":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(
-            bins_per_decade=int(data["bins_per_decade"]),  # type: ignore[arg-type]
-            lo_exp=int(data["lo_exp"]),  # type: ignore[arg-type]
-            hi_exp=int(data["hi_exp"]),  # type: ignore[arg-type]
-            counts=np.asarray(data["counts"], dtype=np.int64),
-        )
-
 
 #: Hash-site discriminator for reservoir priorities (style of
 #: :mod:`repro.faults` site constants).
 _SITE_RESERVOIR = 0x5A3F
 
 
+@jsonable
 @dataclass
-class ReservoirSample:
+class ReservoirSample(Jsonable):
     """Order-free bounded sample: keep the ``k`` smallest priorities.
 
     Each element's priority is a pure hash of ``(seed, uid)``, so the
@@ -377,26 +338,3 @@ class ReservoirSample:
             merged.uids = [int(u) for u in uid[order]]
             merged.samples = [float(v) for v in val[order]]
         return merged
-
-    def to_jsonable(self) -> Dict[str, object]:
-        """Lossless plain-data form (floats round-trip via repr)."""
-        return {
-            "capacity": self.capacity,
-            "seed": self.seed,
-            "uids": list(self.uids),
-            "priorities": list(self.priorities),
-            "samples": list(self.samples),
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, object]) -> "ReservoirSample":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(
-            capacity=int(data["capacity"]),  # type: ignore[arg-type]
-            seed=int(data["seed"]),  # type: ignore[arg-type]
-            uids=[int(u) for u in data["uids"]],  # type: ignore[union-attr]
-            priorities=[int(p)
-                        for p in data["priorities"]],  # type: ignore[union-attr]
-            samples=[float(v)
-                     for v in data["samples"]],  # type: ignore[union-attr]
-        )

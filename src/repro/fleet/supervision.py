@@ -35,7 +35,6 @@ bit-identical to the undisturbed serial run.*
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import os
 import threading
@@ -48,6 +47,7 @@ from ..backoff import SITE_STRIPE_RETRY, backoff_delay
 from ..config import SimulationConfig
 from ..errors import FleetError, ShardError
 from ..faults import ShardFault, ShardFaultConfig, ShardFaultPlan
+from ..jsonable import Jsonable, jsonable
 from .engine import FleetResult
 from .population import PopulationSpec
 from .shard import (
@@ -124,8 +124,9 @@ class SupervisorConfig:
             raise ShardError("speculation_factor must be >= 1")
 
 
+@jsonable
 @dataclass(frozen=True)
-class ShardEvent:
+class ShardEvent(Jsonable):
     """One observed supervision event (for reports and debugging)."""
 
     kind: str
@@ -134,28 +135,19 @@ class ShardEvent:
     attempt: int
     detail: str = ""
 
-    def to_jsonable(self) -> Dict[str, object]:
-        return dict(dataclasses.asdict(self))
 
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, object]) -> "ShardEvent":
-        return cls(kind=str(data["kind"]), phase=str(data["phase"]),
-                   stripe_id=int(data["stripe_id"]),  # type: ignore[arg-type]
-                   attempt=int(data["attempt"]),  # type: ignore[arg-type]
-                   detail=str(data.get("detail", "")))
-
-
+@jsonable
 @dataclass
-class SupervisionReport:
+class SupervisionReport(Jsonable):
     """What supervision observed: faults absorbed, work repeated.
 
     Deliberately *not* part of the result contract — two runs with
     different fault schedules produce different reports but identical
-    :class:`~repro.fleet.engine.FleetResult` JSON.
+    :class:`~repro.fleet.engine.FleetResult` JSON.  The derived
+    :attr:`faults_absorbed` is a property and stays out of the JSON.
     """
 
     workers: int = 0
-    events: List[ShardEvent] = field(default_factory=list)
     crashes: int = 0
     lease_revocations: int = 0
     corrupt_rejected: int = 0
@@ -169,6 +161,7 @@ class SupervisionReport:
     #: Wall seconds from a stripe's first launch to its first accepted
     #: delivery, keyed ``"<phase>:<stripe id>"``.
     stripe_seconds: Dict[str, float] = field(default_factory=dict)
+    events: List[ShardEvent] = field(default_factory=list)
 
     @property
     def faults_absorbed(self) -> int:
@@ -184,51 +177,6 @@ class SupervisionReport:
         if not values:
             return 0.0
         return values[min(len(values) - 1, int(0.99 * len(values)))]
-
-    def to_jsonable(self) -> Dict[str, object]:
-        """Plain-data form for the ``--json`` chaos artifact."""
-        return {
-            "workers": self.workers,
-            "crashes": self.crashes,
-            "lease_revocations": self.lease_revocations,
-            "corrupt_rejected": self.corrupt_rejected,
-            "worker_errors": self.worker_errors,
-            "duplicates_dropped": self.duplicates_dropped,
-            "speculations": self.speculations,
-            "retries": self.retries,
-            "resumed_stripes": self.resumed_stripes,
-            "stale_stripes_ignored": self.stale_stripes_ignored,
-            "checkpoint_quarantined": dict(self.checkpoint_quarantined),
-            "faults_absorbed": self.faults_absorbed,
-            "stripe_seconds": dict(self.stripe_seconds),
-            "events": [event.to_jsonable() for event in self.events],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, object]
-                      ) -> "SupervisionReport":
-        """Inverse of :meth:`to_jsonable` (rebuilds chaos artifacts;
-        the derived ``faults_absorbed`` key is recomputed, not read)."""
-        return cls(
-            workers=int(data["workers"]),  # type: ignore[arg-type]
-            events=[ShardEvent.from_jsonable(event)
-                    for event in data.get("events", [])],  # type: ignore[union-attr]
-            crashes=int(data["crashes"]),  # type: ignore[arg-type]
-            lease_revocations=int(data["lease_revocations"]),  # type: ignore[arg-type]
-            corrupt_rejected=int(data["corrupt_rejected"]),  # type: ignore[arg-type]
-            worker_errors=int(data["worker_errors"]),  # type: ignore[arg-type]
-            duplicates_dropped=int(data["duplicates_dropped"]),  # type: ignore[arg-type]
-            speculations=int(data["speculations"]),  # type: ignore[arg-type]
-            retries=int(data["retries"]),  # type: ignore[arg-type]
-            resumed_stripes=int(data["resumed_stripes"]),  # type: ignore[arg-type]
-            stale_stripes_ignored=int(data["stale_stripes_ignored"]),  # type: ignore[arg-type]
-            checkpoint_quarantined={
-                str(key): str(value) for key, value
-                in data.get("checkpoint_quarantined", {}).items()},  # type: ignore[union-attr]
-            stripe_seconds={
-                str(key): float(value) for key, value  # type: ignore[arg-type]
-                in data.get("stripe_seconds", {}).items()},  # type: ignore[union-attr]
-        )
 
 
 def _worker_main(conn: Connection, world: StripeWorld, task: StripeTask,

@@ -39,6 +39,7 @@ import numpy as np
 
 from ..config import SimulationConfig
 from ..errors import FleetError
+from ..jsonable import Jsonable, jsonable
 from ..video import workload
 from .population import PopulationSpec
 
@@ -52,8 +53,9 @@ def _entry_key(device: str, title: str) -> str:
     return f"{device}|{title}"
 
 
+@jsonable
 @dataclass(frozen=True)
-class CalibEntry:
+class CalibEntry(Jsonable):
     """Per-(device class, title) flow-level coefficients."""
 
     device: str
@@ -64,35 +66,14 @@ class CalibEntry:
     drop_rate: float  # fraction of frames missing their vsync
     calib_frames: int
 
-    def to_jsonable(self) -> Dict[str, object]:
-        """Plain-data form (floats round-trip via repr)."""
-        return {
-            "device": self.device,
-            "title": self.title,
-            "energy_per_frame": self.energy_per_frame,
-            "stall_power": self.stall_power,
-            "throttle_fraction": self.throttle_fraction,
-            "drop_rate": self.drop_rate,
-            "calib_frames": self.calib_frames,
-        }
 
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, object]) -> "CalibEntry":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(
-            device=str(data["device"]),
-            title=str(data["title"]),
-            energy_per_frame=float(data["energy_per_frame"]),  # type: ignore[arg-type]
-            stall_power=float(data["stall_power"]),  # type: ignore[arg-type]
-            throttle_fraction=float(data["throttle_fraction"]),  # type: ignore[arg-type]
-            drop_rate=float(data["drop_rate"]),  # type: ignore[arg-type]
-            calib_frames=int(data["calib_frames"]),  # type: ignore[arg-type]
-        )
-
-
+@jsonable
 @dataclass
-class FleetCalibration:
-    """The full coefficient table for one population spec."""
+class FleetCalibration(Jsonable):
+    """The full coefficient table for one population spec.
+
+    ``entries`` is kept sorted by key, so the JSON cache is too.
+    """
 
     fingerprint: str
     entries: Dict[str, CalibEntry]
@@ -124,25 +105,6 @@ class FleetCalibration:
         return {"energy_per_frame": epf,
                 "throttle_fraction": throttle,
                 "stall_power": stall}
-
-    def to_jsonable(self) -> Dict[str, object]:
-        """Plain-data form (the on-disk cache format)."""
-        return {
-            "fingerprint": self.fingerprint,
-            "entries": {key: entry.to_jsonable()
-                        for key, entry in sorted(self.entries.items())},
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, object]) -> "FleetCalibration":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(
-            fingerprint=str(data["fingerprint"]),
-            entries={
-                key: CalibEntry.from_jsonable(entry)
-                for key, entry in data["entries"].items()  # type: ignore[union-attr]
-            },
-        )
 
     def save(self, path: str) -> None:
         """Write the cache file atomically enough for a CLI tool."""
@@ -210,7 +172,7 @@ def calibrate(spec: PopulationSpec,
             entry = _calibrate_pair(spec, d_idx, title, base)
             entries[_entry_key(device.name, title)] = entry
     return FleetCalibration(fingerprint=spec.fingerprint(),
-                            entries=entries)
+                            entries=dict(sorted(entries.items())))
 
 
 def _drifted(cached: CalibEntry, fresh: CalibEntry) -> bool:

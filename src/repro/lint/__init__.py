@@ -19,7 +19,7 @@ Four rule families (see ``docs/LINTING.md`` for the full catalogue):
 * **API contract** (``A``) — public functions are fully annotated and
   ``to_jsonable``/``from_jsonable`` checkpoint pairs stay complete.
 
-Three *whole-program* families run over the linked project (shared
+Two *whole-program* families run over the linked project (shared
 symbol table + call graph, see :mod:`repro.lint.callgraph`):
 
 * **dimension** (``UD``) — unit-dimension inference: no mixed-scale
@@ -27,9 +27,10 @@ symbol table + call graph, see :mod:`repro.lint.callgraph`):
   parameters;
 * **taint** (``DT``) — determinism taint tracking: no nondeterministic
   value reaches a serialized result, no float accumulation over set
-  iteration, mergeable aggregates accumulate exactly;
-* **round-trip** (``RT``) — ``to_jsonable``/``from_jsonable`` pairs
-  are field-complete, so resume never silently defaults a field.
+  iteration, mergeable aggregates accumulate exactly.
+
+Field-complete round trips need no rule: the serialized types share
+one codec (:mod:`repro.jsonable`) that reads their field lists.
 
 Violations are suppressed per line with a *justified* comment::
 
@@ -61,7 +62,6 @@ from .sarif import render_sarif, report_to_sarif
 # project-scope passes register on import of their defining modules.
 from . import rules as _rules  # noqa: F401
 from . import dimensions as _dimensions  # noqa: F401
-from . import roundtrip as _roundtrip  # noqa: F401
 from . import taint as _taint  # noqa: F401
 
 __all__ = [

@@ -44,15 +44,30 @@ def imported_names(tree: ast.Module) -> Dict[str, str]:
     return origins
 
 
-def is_dataclass(node: ast.ClassDef) -> bool:
-    """Is the class decorated with ``@dataclass`` (any spelling)?"""
+def has_decorator(node: ast.ClassDef, name: str) -> bool:
+    """Is the class decorated with ``@name`` (any dotted spelling,
+    bare or called)?"""
     for decorator in node.decorator_list:
         target = decorator.func if isinstance(decorator, ast.Call) \
             else decorator
-        name = dotted_name(target)
-        if name is not None and name.split(".")[-1] == "dataclass":
+        dotted = dotted_name(target)
+        if dotted is not None and dotted.split(".")[-1] == name:
             return True
     return False
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    """Is the class decorated with ``@dataclass`` (any spelling)?"""
+    return has_decorator(node, "dataclass")
+
+
+def is_jsonable(node: ast.ClassDef) -> bool:
+    """Does the class serialize: decorated ``@jsonable`` (the codec in
+    :mod:`repro.jsonable` installs the pair) or defining its own
+    ``to_jsonable``?"""
+    return has_decorator(node, "jsonable") or any(
+        isinstance(member, ast.FunctionDef)
+        and member.name == "to_jsonable" for member in node.body)
 
 
 def call_keywords(node: ast.Call) -> Set[str]:

@@ -46,7 +46,7 @@ class Rule:
 
     id: str  # short id used in suppressions/baselines, e.g. "D001"
     name: str  # kebab-case slug, e.g. "unseeded-rng"
-    family: str  # determinism | units | dimension | taint | round-trip | ...
+    family: str  # determinism | units | dimension | taint | ...
     description: str  # one line: the invariant this rule guards
     check: Union[CheckFunction, ProjectCheckFunction]
     scope: str = "file"  # "file" | "project"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Tuple, Union
 
-from ..asthelpers import dotted_name
+from ..asthelpers import dotted_name, has_decorator
 from ..engine import ModuleContext
 from ..registry import RawViolation, rule
 
@@ -84,15 +84,17 @@ def broken_jsonable_pair(ctx: ModuleContext) -> Iterator[RawViolation]:
         methods = {member.name: member for member in node.body
                    if isinstance(member, (ast.FunctionDef,
                                           ast.AsyncFunctionDef))}
-        has_to = "to_jsonable" in methods
-        has_from = "from_jsonable" in methods
+        # @jsonable installs whichever half the class leaves out.
+        decorated = has_decorator(node, "jsonable")
+        has_to = decorated or "to_jsonable" in methods
+        has_from = decorated or "from_jsonable" in methods
         if has_to != has_from:
             present = "to_jsonable" if has_to else "from_jsonable"
             absent = "from_jsonable" if has_to else "to_jsonable"
             yield (node.lineno, node.col_offset,
                    f"class {node.name} defines {present} but not "
                    f"{absent} — checkpoints must round-trip")
-        if has_from:
+        if "from_jsonable" in methods:
             decorators = {dotted_name(d) for d in
                           methods["from_jsonable"].decorator_list}
             if "classmethod" not in {d.split(".")[-1] for d in decorators

@@ -16,8 +16,7 @@ import ast
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import dimensions
-from .asthelpers import dotted_name, imported_names
-from .roundtrip import analyze_class_roundtrip
+from .asthelpers import dotted_name, imported_names, is_jsonable
 from .taint import ModuleTaintAnalysis
 
 #: Attribute-call names never worth a cross-module lookup: ubiquitous
@@ -178,12 +177,10 @@ class _ModuleExtractor:
         qualref = f"{self.module}.{classdef.name}"
         self.classes[classdef.name] = {
             "qualref": qualref,
-            "has_to_jsonable": "to_jsonable" in method_names,
+            "has_to_jsonable": is_jsonable(classdef),
             "has_merge": "merge" in method_names,
             "is_result": classdef.name.endswith("Result"),
         }
-        self.findings.extend(
-            analyze_class_roundtrip(classdef, self.lines))
         self.taint.check_mergeable_accumulation(
             classdef, _field_types(classdef))
         self.resolver.current_class = classdef.name

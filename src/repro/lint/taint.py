@@ -19,9 +19,10 @@ a taint-producing function.  This is deliberately coarse — sources are
 rare in this tree precisely because the D rules police them, so the
 closure stays tiny and conservative.
 
-**Sinks**: the serialized result types — project classes that define
-``to_jsonable`` and either are ``*Result`` classes or carry a
-``merge`` method (the exactly-mergeable fleet/chaos aggregates).
+**Sinks**: the serialized result types — project classes that are
+``@jsonable`` or define ``to_jsonable``, and either are ``*Result``
+classes or carry a ``merge`` method (the exactly-mergeable fleet/chaos
+aggregates).
 
 Rules:
 
@@ -50,7 +51,7 @@ from typing import (
     TYPE_CHECKING,
 )
 
-from .asthelpers import call_keywords, dotted_name
+from .asthelpers import call_keywords, dotted_name, is_jsonable
 from .registry import RawProjectViolation, rule
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard only
@@ -271,10 +272,7 @@ class ModuleTaintAnalysis:
                                      field_types: Dict[str, str]) -> None:
         has_merge = any(isinstance(n, ast.FunctionDef) and n.name == "merge"
                         for n in classdef.body)
-        has_jsonable = any(isinstance(n, ast.FunctionDef)
-                           and n.name == "to_jsonable"
-                           for n in classdef.body)
-        if not (has_merge and has_jsonable):
+        if not (has_merge and is_jsonable(classdef)):
             return
         for method in classdef.body:
             if not isinstance(method, ast.FunctionDef):

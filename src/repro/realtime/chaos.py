@@ -37,6 +37,7 @@ from ..config import RealtimeConfig, SimulationConfig
 from ..errors import RealtimeError
 from ..fleet.population import PopulationModel, PopulationSpec, default_population
 from ..fleet.sketches import HistogramSketch, StreamingMoments, hash_u64_array
+from ..jsonable import Jsonable, jsonable
 from ..units import MBPS, to_ms
 from ..video import workload
 from .session import RealtimeResult, simulate_realtime
@@ -117,8 +118,9 @@ CHAOS_REGIMES: Tuple[ChaosRegime, ...] = (
 )
 
 
+@jsonable
 @dataclass
-class RegimeSLO:
+class RegimeSLO(Jsonable):
     """Exactly-mergeable SLO aggregate for one (regime, cohort) cell."""
 
     regime: str
@@ -192,46 +194,6 @@ class RegimeSLO:
         return ((self.skipped + self.frozen + self.downscaled)
                 / max(1, self.frames))
 
-    def to_jsonable(self) -> Dict[str, object]:
-        """Plain-data form."""
-        return {
-            "regime": self.regime,
-            "cohort": self.cohort,
-            "sessions": self.sessions,
-            "frames": self.frames,
-            "misses": self.misses,
-            "skipped": self.skipped,
-            "frozen": self.frozen,
-            "downscaled": self.downscaled,
-            "lost_blocks": self.lost_blocks,
-            "content_blocks": self.content_blocks,
-            "lateness": self.lateness.to_jsonable(),
-            "recovery_energy": self.recovery_energy.to_jsonable(),
-            "total_energy": self.total_energy.to_jsonable(),
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, object]) -> "RegimeSLO":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(
-            regime=str(data["regime"]),
-            cohort=str(data["cohort"]),
-            sessions=int(data["sessions"]),  # type: ignore[arg-type]
-            frames=int(data["frames"]),  # type: ignore[arg-type]
-            misses=int(data["misses"]),  # type: ignore[arg-type]
-            skipped=int(data["skipped"]),  # type: ignore[arg-type]
-            frozen=int(data["frozen"]),  # type: ignore[arg-type]
-            downscaled=int(data["downscaled"]),  # type: ignore[arg-type]
-            lost_blocks=int(data["lost_blocks"]),  # type: ignore[arg-type]
-            content_blocks=int(data["content_blocks"]),  # type: ignore[arg-type]
-            lateness=HistogramSketch.from_jsonable(
-                data["lateness"]),  # type: ignore[arg-type]
-            recovery_energy=StreamingMoments.from_jsonable(
-                data["recovery_energy"]),  # type: ignore[arg-type]
-            total_energy=StreamingMoments.from_jsonable(
-                data["total_energy"]),  # type: ignore[arg-type]
-        )
-
 
 @dataclass(frozen=True)
 class _ChaosJob:
@@ -245,9 +207,13 @@ class _ChaosJob:
     rt_seed: int
 
 
+@jsonable
 @dataclass
-class ChaosResult:
-    """Campaign outcome: one :class:`RegimeSLO` per (regime, cohort)."""
+class ChaosResult(Jsonable):
+    """Campaign outcome: one :class:`RegimeSLO` per (regime, cohort).
+
+    :func:`run_chaos` builds ``slos`` sorted by key, so the JSON is too.
+    """
 
     seed: int
     n_jobs: int
@@ -279,28 +245,6 @@ class ChaosResult:
             ["regime", "cohort", "sessions", "miss%", "p99 late ms",
              "concealed%", "degraded%", "recovery J", "energy J"],
             rows, title=f"chaos campaign ({self.n_jobs} sessions)")
-
-    def to_jsonable(self) -> Dict[str, object]:
-        """Plain-data form."""
-        return {
-            "seed": self.seed,
-            "n_jobs": self.n_jobs,
-            "regimes": list(self.regimes),
-            "slos": {key: slo.to_jsonable()
-                     for key, slo in sorted(self.slos.items())},
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, object]) -> "ChaosResult":
-        """Inverse of :meth:`to_jsonable`."""
-        slos = {key: RegimeSLO.from_jsonable(value)
-                for key, value in data["slos"].items()}  # type: ignore[union-attr]
-        return cls(
-            seed=int(data["seed"]),  # type: ignore[arg-type]
-            n_jobs=int(data["n_jobs"]),  # type: ignore[arg-type]
-            regimes=tuple(data["regimes"]),  # type: ignore[arg-type]
-            slos=slos,
-        )
 
 
 #: Default matrix axis: one workload per Table-1 content class
@@ -424,4 +368,4 @@ def run_chaos(config: Optional[SimulationConfig] = None,
             merged[key] = merged[key].merge(slo)
     return ChaosResult(seed=seed, n_jobs=len(jobs),
                        regimes=tuple(r.key for r in regimes),
-                       slos=merged)
+                       slos=dict(sorted(merged.items())))

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Annotated, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # import cycle: core.pipeline is imported lazily
     from ..core.results import RunResult
@@ -47,6 +47,7 @@ from ..core.race_to_sleep import DeadlineLadder
 from ..decoder.power import PowerState, PowerTracker, plan_slack
 from ..errors import RealtimeError
 from ..faults import FaultPlan, hash_u01
+from ..jsonable import FloatArray, Jsonable, jsonable
 from ..video.synthesis import VideoProfile
 from .congestion import DelayLossController
 from .fec import apply_fec, parity_count
@@ -68,8 +69,9 @@ _SIZE_JITTER = 0.25
 _RETX_HORIZON_BUDGETS = 1.0
 
 
+@jsonable
 @dataclass
-class RealtimeResult:
+class RealtimeResult(Jsonable):
     """Per-frame timelines and session totals of one realtime run.
 
     ``completion[i]`` is the time frame ``i``'s last needed packet
@@ -84,12 +86,12 @@ class RealtimeResult:
     latency_budget: float  # s capture-to-delivery deadline
     blocks_per_frame: int
 
-    completion: np.ndarray  # s per-frame arrival, inf if undelivered
-    step: np.ndarray  # int8 ladder step per frame
-    miss: np.ndarray  # bool deadline miss per frame
-    lost_blocks: np.ndarray  # int32 unrecovered blocks per frame
-    send_rate: np.ndarray  # float64 controller rate per frame, bytes/s
-    queue_delay: np.ndarray  # float64 mean queueing delay per frame, s
+    completion: FloatArray  # s per-frame arrival, inf if undelivered
+    step: Annotated[np.ndarray, np.int8]  # ladder step per frame
+    miss: Annotated[np.ndarray, np.bool_]  # deadline miss per frame
+    lost_blocks: Annotated[np.ndarray, np.int32]  # unrecovered per frame
+    send_rate: FloatArray  # controller rate per frame, bytes/s
+    queue_delay: FloatArray  # mean queueing delay per frame, s
 
     data_bytes: int = 0
     parity_bytes: int = 0
@@ -110,9 +112,9 @@ class RealtimeResult:
     radio_energy: float = 0.0  # J modem active + tail
     recovery_energy: float = 0.0  # J modem airtime of parity + retx
 
-    #: Unrecovered-block spans per frame (block index ranges), the raw
-    #: material of :meth:`block_overlay`.  Not serialized.
-    lost_spans: Dict[int, List[Tuple[int, int]]] = field(
+    #: Unrecovered-block spans per frame (``(lo, hi)`` block index
+    #: ranges), the raw material of :meth:`block_overlay`.
+    lost_spans: Dict[int, List[Tuple[int, ...]]] = field(
         default_factory=dict, repr=False)
 
     # -- derived SLOs ------------------------------------------------------
@@ -198,86 +200,6 @@ class RealtimeResult:
         times = np.where(self.delivered, self.completion, self.deadline)
         return np.maximum.accumulate(times)
 
-    # -- serialization -----------------------------------------------------
-
-    def to_jsonable(self) -> Dict[str, object]:
-        """Plain-data form (derived SLOs recomputable on load)."""
-        return {
-            "n_frames": self.n_frames,
-            "fps": self.fps,
-            "latency_budget": self.latency_budget,
-            "blocks_per_frame": self.blocks_per_frame,
-            "completion": [None if math.isinf(c) else float(c)
-                           for c in self.completion],
-            "step": [int(s) for s in self.step],
-            "miss": [bool(m) for m in self.miss],
-            "lost_blocks": [int(b) for b in self.lost_blocks],
-            "send_rate": [float(r) for r in self.send_rate],
-            "queue_delay": [None if math.isinf(q) else float(q)
-                            for q in self.queue_delay],
-            "data_bytes": self.data_bytes,
-            "parity_bytes": self.parity_bytes,
-            "retx_bytes": self.retx_bytes,
-            "packets_sent": self.packets_sent,
-            "overflow_drops": self.overflow_drops,
-            "red_drops": self.red_drops,
-            "injected_drops": self.injected_drops,
-            "fec_frames": self.fec_frames,
-            "retx_frames": self.retx_frames,
-            "downscaled_frames": self.downscaled_frames,
-            "frozen_frames": self.frozen_frames,
-            "skipped_frames": self.skipped_frames,
-            "degradation_steps": self.degradation_steps,
-            "decode_energy": self.decode_energy,
-            "sleep_energy": self.sleep_energy,
-            "radio_energy": self.radio_energy,
-            "recovery_energy": self.recovery_energy,
-            "lost_spans": {str(i): [[lo, hi] for lo, hi in spans]
-                           for i, spans in self.lost_spans.items()},
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, object]) -> "RealtimeResult":
-        """Inverse of :meth:`to_jsonable`."""
-        def _floats(values: object, missing: float) -> np.ndarray:
-            return np.asarray(
-                [missing if v is None else float(v)
-                 for v in values],  # type: ignore[union-attr]
-                dtype=np.float64)
-
-        return cls(
-            n_frames=int(data["n_frames"]),  # type: ignore[arg-type]
-            fps=float(data["fps"]),  # type: ignore[arg-type]
-            latency_budget=float(data["latency_budget"]),  # type: ignore[arg-type]
-            blocks_per_frame=int(data["blocks_per_frame"]),  # type: ignore[arg-type]
-            completion=_floats(data["completion"], math.inf),
-            step=np.asarray(data["step"], dtype=np.int8),
-            miss=np.asarray(data["miss"], dtype=bool),
-            lost_blocks=np.asarray(data["lost_blocks"], dtype=np.int32),
-            send_rate=np.asarray(data["send_rate"], dtype=np.float64),
-            queue_delay=_floats(data["queue_delay"], math.inf),
-            data_bytes=int(data["data_bytes"]),  # type: ignore[arg-type]
-            parity_bytes=int(data["parity_bytes"]),  # type: ignore[arg-type]
-            retx_bytes=int(data["retx_bytes"]),  # type: ignore[arg-type]
-            packets_sent=int(data["packets_sent"]),  # type: ignore[arg-type]
-            overflow_drops=int(data["overflow_drops"]),  # type: ignore[arg-type]
-            red_drops=int(data["red_drops"]),  # type: ignore[arg-type]
-            injected_drops=int(data["injected_drops"]),  # type: ignore[arg-type]
-            fec_frames=int(data["fec_frames"]),  # type: ignore[arg-type]
-            retx_frames=int(data["retx_frames"]),  # type: ignore[arg-type]
-            downscaled_frames=int(data["downscaled_frames"]),  # type: ignore[arg-type]
-            frozen_frames=int(data["frozen_frames"]),  # type: ignore[arg-type]
-            skipped_frames=int(data["skipped_frames"]),  # type: ignore[arg-type]
-            degradation_steps=int(data["degradation_steps"]),  # type: ignore[arg-type]
-            decode_energy=float(data["decode_energy"]),  # type: ignore[arg-type]
-            sleep_energy=float(data["sleep_energy"]),  # type: ignore[arg-type]
-            radio_energy=float(data["radio_energy"]),  # type: ignore[arg-type]
-            recovery_energy=float(data["recovery_energy"]),  # type: ignore[arg-type]
-            lost_spans={int(i): [(int(lo), int(hi)) for lo, hi in spans]
-                        for i, spans in
-                        data["lost_spans"].items()},  # type: ignore[union-attr]
-        )
-
 
 class RealtimeFrameSource:
     """Adapts realtime arrivals to the pipeline's ``FrameSource``."""
@@ -340,7 +262,7 @@ def simulate_realtime(config: SimulationConfig, n_frames: int = 600,
     lost_blocks = np.zeros(n_frames, dtype=np.int32)
     send_rate = np.zeros(n_frames, dtype=np.float64)
     queue_delay_arr = np.zeros(n_frames, dtype=np.float64)
-    lost_spans: Dict[int, List[Tuple[int, int]]] = {}
+    lost_spans: Dict[int, List[Tuple[int, ...]]] = {}
 
     data_bytes = parity_bytes = retx_bytes = packets_sent = 0
     fec_frames = retx_frames = 0
@@ -451,7 +373,7 @@ def simulate_realtime(config: SimulationConfig, n_frames: int = 600,
         if finite:
             completion[i] = max(finite)
         if step <= 1 and unrecovered:
-            spans = []
+            spans: List[Tuple[int, ...]] = []
             for j in unrecovered:
                 lo = j * blocks_per_frame // n_data
                 hi = (j + 1) * blocks_per_frame // n_data

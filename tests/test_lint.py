@@ -202,6 +202,16 @@ class TestApiContractRules:
                   "        return cls()\n")
         assert hits(source, "A002") == 0
 
+    def test_jsonable_decorator_completes_pair(self):
+        # The codec installs whichever half the class leaves out.
+        source = ("from repro.jsonable import jsonable\n"
+                  "@jsonable\n"
+                  "class Result:\n"
+                  "    @classmethod\n"
+                  "    def from_jsonable(cls, data: dict) -> 'Result':\n"
+                  "        return cls()\n")
+        assert hits(source, "A002") == 0
+
     def test_from_jsonable_must_be_classmethod(self):
         source = ("class Result:\n"
                   "    def to_jsonable(self) -> dict:\n"

@@ -1,8 +1,8 @@
 """Tests for the whole-program semantic passes in repro.lint.
 
-Covers the three flow-aware families — unit-dimension inference
-(UD1xx), determinism taint tracking (DT2xx), round-trip completeness
-(RT3xx) — each with true-positive *and* false-positive fixtures, the
+Covers the two flow-aware families — unit-dimension inference
+(UD1xx) and determinism taint tracking (DT2xx) — each with
+true-positive *and* false-positive fixtures, the
 interprocedural link (dimensions and taint resolved across function
 and module boundaries), and the engine growth around them: the
 incremental cache (warm runs must be bit-identical to cold ones — a
@@ -13,9 +13,7 @@ export, and baseline migration for the new rule ids.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -185,6 +183,15 @@ _SINK_CLASS = (
     "        return cls(started=data['started'])\n")
 
 
+_DECORATED_SINK = (
+    "from dataclasses import dataclass\n"
+    "from repro.jsonable import Jsonable, jsonable\n"
+    "@jsonable\n"
+    "@dataclass\n"
+    "class FooResult(Jsonable):\n"
+    "    started: float = 0.0\n")
+
+
 class TestTaintTracking:
     def test_direct_source_into_result_fires(self):
         source = ("import time\n" + _SINK_CLASS
@@ -283,6 +290,38 @@ class TestTaintTracking:
                   "        return cls(q_total=d['q_total'])\n")
         assert hits(source, "DT203") == 0
 
+    def test_decorated_result_is_a_sink(self):
+        # @jsonable classes carry no literal to_jsonable; the decorator
+        # alone marks them as serialized.
+        source = ("import time\n" + _DECORATED_SINK
+                  + "def f() -> FooResult:\n"
+                    "    return FooResult(started=time.time())\n")
+        assert hits(source, "DT201") == 1
+
+    def test_decorated_sink_clean_value_clean(self):
+        source = (_DECORATED_SINK
+                  + "def f(elapsed: float) -> FooResult:\n"
+                    "    return FooResult(started=elapsed)\n")
+        assert hits(source, "DT201") == 0
+
+    def test_decorated_float_merge_accumulation_fires(self):
+        source = ("from dataclasses import dataclass\n"
+                  "from repro import jsonable\n"
+                  "@jsonable.jsonable\n"
+                  "@dataclass\n"
+                  "class Agg(jsonable.Jsonable):\n"
+                  "    total: float = 0.0\n"
+                  "    def merge(self, other: 'Agg') -> None:\n"
+                  "        self.total += other.total\n")
+        assert hits(source, "DT203") == 1
+
+    def test_suppression_applies_to_project_rules(self):
+        source = ("import time\n" + _SINK_CLASS
+                  + "def f() -> FooResult:\n"
+                    "    return FooResult(started=time.time())"
+                    "  # repro-lint: disable=DT201 display-only stamp\n")
+        assert hits(source, "DT201") == 0
+
     def test_no_merge_method_is_not_an_aggregate(self):
         source = ("from dataclasses import dataclass\n"
                   "@dataclass\n"
@@ -294,104 +333,6 @@ class TestTaintTracking:
 
 
 # --------------------------------------------------------------------------
-# RT3xx: round-trip completeness
-# --------------------------------------------------------------------------
-
-
-class TestRoundTripCompleteness:
-    def test_unserialized_field_fires(self):
-        source = ("from dataclasses import dataclass\n"
-                  "@dataclass\n"
-                  "class Thing:\n"
-                  "    a: float = 0.0\n"
-                  "    b: float = 0.0\n"
-                  "    def to_jsonable(self) -> dict:\n"
-                  "        return {'a': self.a}\n"
-                  "    @classmethod\n"
-                  "    def from_jsonable(cls, d: dict) -> 'Thing':\n"
-                  "        return cls(a=d['a'], b=d.get('b', 0.0))\n")
-        assert hits(source, "RT301") == 1
-
-    def test_unrestored_field_fires(self):
-        source = ("from dataclasses import dataclass\n"
-                  "@dataclass\n"
-                  "class Thing:\n"
-                  "    a: float = 0.0\n"
-                  "    b: float = 0.0\n"
-                  "    def to_jsonable(self) -> dict:\n"
-                  "        return {'a': self.a, 'b': self.b}\n"
-                  "    @classmethod\n"
-                  "    def from_jsonable(cls, d: dict) -> 'Thing':\n"
-                  "        return cls(a=d['a'])\n")
-        assert hits(source, "RT302") == 1
-
-    def test_complete_pair_clean(self):
-        source = ("from dataclasses import dataclass\n"
-                  "@dataclass\n"
-                  "class Thing:\n"
-                  "    a: float = 0.0\n"
-                  "    b: float = 0.0\n"
-                  "    def to_jsonable(self) -> dict:\n"
-                  "        return {'a': self.a, 'b': self.b}\n"
-                  "    @classmethod\n"
-                  "    def from_jsonable(cls, d: dict) -> 'Thing':\n"
-                  "        return cls(a=d['a'], b=d.get('b', 0.0))\n")
-        assert rule_ids(source) == []
-
-    def test_fields_loop_idiom_covers_everything(self):
-        source = ("from dataclasses import dataclass, fields\n"
-                  "@dataclass\n"
-                  "class Thing:\n"
-                  "    a: float = 0.0\n"
-                  "    b: float = 0.0\n"
-                  "    def to_jsonable(self) -> dict:\n"
-                  "        return {f.name: getattr(self, f.name)"
-                  " for f in fields(self)}\n"
-                  "    @classmethod\n"
-                  "    def from_jsonable(cls, d: dict) -> 'Thing':\n"
-                  "        return cls(**{f.name: d[f.name]"
-                  " for f in fields(cls)})\n")
-        assert rule_ids(source) == []
-
-    def test_stale_key_read_fires(self):
-        source = ("from dataclasses import dataclass\n"
-                  "@dataclass\n"
-                  "class Thing:\n"
-                  "    a: float = 0.0\n"
-                  "    def to_jsonable(self) -> dict:\n"
-                  "        return {'a': self.a}\n"
-                  "    @classmethod\n"
-                  "    def from_jsonable(cls, d: dict) -> 'Thing':\n"
-                  "        return cls(a=d.get('legacy_a', 0.0))\n")
-        assert hits(source, "RT303") == 1
-
-    def test_non_dataclass_pair_skipped(self):
-        source = ("class Thing:\n"
-                  "    def __init__(self) -> None:\n"
-                  "        self.a = 0.0\n"
-                  "    def to_jsonable(self) -> dict:\n"
-                  "        return {}\n"
-                  "    @classmethod\n"
-                  "    def from_jsonable(cls, d: dict) -> 'Thing':\n"
-                  "        return cls()\n")
-        assert hits(source, "RT301") == 0
-
-    def test_suppression_applies_to_project_rules(self):
-        source = ("from dataclasses import dataclass\n"
-                  "@dataclass\n"
-                  "class Thing:\n"
-                  "    a: float = 0.0\n"
-                  "    b: float = 0.0\n"
-                  "    def to_jsonable(self) -> dict:"
-                  "  # repro-lint: disable=RT301 b is derived on load\n"
-                  "        return {'a': self.a}\n"
-                  "    @classmethod\n"
-                  "    def from_jsonable(cls, d: dict) -> 'Thing':\n"
-                  "        return cls(a=d['a'], b=d.get('b', 0.0))\n")
-        assert hits(source, "RT301") == 0
-
-
-# --------------------------------------------------------------------------
 # Engine growth: registry scopes/severities, SARIF, cache, parallel
 # --------------------------------------------------------------------------
 
@@ -400,19 +341,16 @@ class TestRegistryGrowth:
     def test_new_rule_ids_registered(self):
         ids = {rule.id for rule in all_rules()}
         assert {"UD101", "UD102", "UD103",
-                "DT201", "DT202", "DT203",
-                "RT301", "RT302", "RT303"} <= ids
+                "DT201", "DT202", "DT203"} <= ids
 
     def test_scopes(self):
         assert get_rule("D001").scope == "file"
         assert get_rule("UD101").scope == "project"
         assert get_rule("DT201").scope == "project"
-        assert get_rule("RT301").scope == "project"
 
     def test_severity_tiers(self):
         assert get_rule("UD101").severity == "error"
         assert get_rule("UD103").severity == "warning"
-        assert get_rule("RT303").severity == "warning"
 
     def test_every_rule_has_valid_severity(self):
         assert all(rule.severity in ("error", "warning")
