@@ -44,6 +44,7 @@ from .config import (
 )
 from .core.pipeline import simulate
 from .core.results import compare_schemes
+from .errors import ReproError
 from .units import to_mj
 from .video import PAPER_WORKLOADS, SyntheticVideo, workload
 
@@ -808,9 +809,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand; bad input exits 2 with a one-line message."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        message = " ".join(str(exc).split())
+        print(f"{parser.prog}: error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -517,10 +517,12 @@ def simulate(
                         corrupt = np.union1d(
                             corrupt, np.asarray(lost, dtype=np.int64))
                 if len(corrupt):
-                    # Copy before concealing: the stream may derive
-                    # later frames from this buffer, and the source
-                    # content must not inherit the receiver's damage.
-                    frame.blocks = frame.blocks.copy()
+                    # Conceal into a pipeline-local frame: the caller
+                    # owns the source frame and its buffer (a list may
+                    # be replayed, a stream may derive later frames
+                    # from it), and neither may inherit the receiver's
+                    # damage.
+                    frame = replace(frame, blocks=frame.blocks.copy())
                     concealed_total += conceal_blocks(
                         frame.blocks, corrupt, prev_blocks)
                     # Concealment re-reads each co-located block from

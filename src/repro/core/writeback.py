@@ -13,12 +13,16 @@ of its gradient form), consults the MACH ring, and either
 
 The engine also emits the frame's line-granular write traffic
 (coalesced or not) and the frozen MACH dump.
+
+Per-block content work — the gradient transform, the digest and the
+DCC size — runs only on blocks whose bytes changed since the previous
+frame (:class:`ContentSnapshot`); every other block keeps its values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +39,9 @@ from .mach import FrozenMach, MachRing, MachStats, MatchKind
 from .soa import lru_touch_classify
 
 _DUMP_ENTRY_BYTES = 8  # digest (4) + pointer (4)
+
+#: Tags and CRC16 auxes of each row of a ``(n, k)`` block matrix.
+DigestRows = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -153,6 +160,65 @@ def set_local_replay(keys: np.ndarray, found: np.ndarray,
         np.array(stored, dtype=np.int64), np.array(resident, dtype=np.int64))
 
 
+def changed_rows(blocks: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``blocks`` that differ from ``previous``.
+
+    Rows are compared as 8-byte words when the block length allows,
+    byte by byte otherwise; both give the same mask.
+    """
+    if blocks.shape[1] % 8 == 0:
+        blocks = np.ascontiguousarray(blocks).view(np.uint64)
+        previous = np.ascontiguousarray(previous).view(np.uint64)
+    return (blocks != previous).any(axis=1)
+
+
+class ContentSnapshot:
+    """The previous frame's bytes and the per-block values derived from them.
+
+    :meth:`update` takes the next frame, finds the rows that changed,
+    and runs the gradient transform, ``digest`` and the DCC sizing on
+    those rows only; every other row keeps its previous values.  The
+    first frame, or one of a new shape, changes every row.  The bytes
+    are copied, so a source that reuses or later modifies its arrays
+    cannot alias the snapshot.  ``tags``, ``aux`` and ``sizes`` are
+    updated in place: they hold the latest frame's values until the
+    next :meth:`update`.
+    """
+
+    def __init__(self, digest: Optional[DigestRows], gradient: bool,
+                 dcc: bool) -> None:
+        self._digest = digest
+        self._gradient = gradient
+        self._dcc = dcc
+        self.blocks: Optional[np.ndarray] = None
+        self.tags = np.zeros(0, dtype=np.int64)
+        self.aux = np.zeros(0, dtype=np.int64)
+        self.sizes = np.zeros(0, dtype=np.int64)
+
+    def update(self, blocks: np.ndarray) -> None:
+        """Bring the snapshot, and its per-block values, up to ``blocks``."""
+        previous = self.blocks
+        if previous is None or previous.shape != blocks.shape:
+            n = len(blocks)
+            self.blocks = content = np.array(blocks)
+            self.tags = np.zeros(n, dtype=np.int64)
+            self.aux = np.zeros(n, dtype=np.int64)
+            self.sizes = np.zeros(n, dtype=np.int64)
+            rows = np.arange(n)
+        else:
+            rows = np.flatnonzero(changed_rows(blocks, previous))
+            if not len(rows):
+                return
+            content = blocks[rows]
+            previous[rows] = content
+        if self._gradient:
+            content = to_gradient(content)[0]
+        if self._digest is not None:
+            self.tags[rows], self.aux[rows] = self._digest(content)
+        if self._dcc:
+            self.sizes[rows] = compressed_sizes(content)
+
+
 class WritebackEngine:
     """Stateful per-video write path for one scheme."""
 
@@ -196,6 +262,9 @@ class WritebackEngine:
                             else None)
         self._verify = (fault_plan.config.verify_digests
                         if fault_plan is not None else True)
+        self._content = ContentSnapshot(
+            self._digest_blocks if scheme.uses_mach else None,
+            gradient=self._use_gradient, dcc=scheme.dcc)
 
     # -- public API -----------------------------------------------------------
 
@@ -217,7 +286,8 @@ class WritebackEngine:
                      slot_base: int) -> WritebackResult:
         n = frame.n_blocks
         if self.scheme.dcc:
-            sizes = compressed_sizes(frame.blocks)
+            self._content.update(frame.blocks)
+            sizes = self._content.sizes
             offsets = np.concatenate(
                 [[0], np.cumsum(sizes[:-1], dtype=np.int64)])
             data_bytes = int(sizes.sum())
@@ -247,35 +317,30 @@ class WritebackEngine:
 
     # -- MACH path ---------------------------------------------------------------
 
-    def _digest_frame(self, frame: DecodedFrame) -> Tuple[np.ndarray, np.ndarray]:
-        """Digests (+CRC16 aux where available) for every block."""
-        if self._use_gradient:
-            tag_input, _ = to_gradient(frame.blocks)
-        else:
-            tag_input = frame.blocks
-        name = self.mach_config.digest_scheme
-        if name in ("crc32", "crc48"):
+    def _digest_blocks(self, tag_input: np.ndarray
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """Digests (+CRC16 aux where available) of some blocks' rows."""
+        if self.mach_config.digest_scheme in ("crc32", "crc48"):
             crc32s, crc16s = crc_pair_blocks(tag_input)
-            tags = crc32s.astype(np.int64)
-            aux = crc16s.astype(np.int64)
-        else:
-            tags = self._scheme_obj.digest_blocks(tag_input).astype(np.int64)
-            aux = np.zeros(len(tags), dtype=np.int64)
-        return tags, aux
+            return crc32s.astype(np.int64), crc16s.astype(np.int64)
+        tags = self._scheme_obj.digest_blocks(tag_input).astype(np.int64)
+        return tags, np.zeros(len(tags), dtype=np.int64)
 
-    def _dcc_sizes(self, frame: DecodedFrame) -> Optional[np.ndarray]:
-        if not self.scheme.dcc:
-            return None
-        return compressed_sizes(
-            to_gradient(frame.blocks)[0] if self._use_gradient
-            else frame.blocks)
+    def _digest_frame(self, frame: DecodedFrame) -> Tuple[np.ndarray, np.ndarray]:
+        """Digests (+CRC16 aux where available) for every block.
+
+        Brings the content snapshot up to ``frame`` (which also sizes
+        its blocks for DCC), so only changed blocks are digested.
+        """
+        self._content.update(frame.blocks)
+        return self._content.tags, self._content.aux
 
     def _process_mach(self, frame: DecodedFrame,
                       slot_base: int) -> WritebackResult:
         assert self.ring is not None
         ring = self.ring
         tags, aux = self._digest_frame(frame)
-        dcc_sizes = self._dcc_sizes(frame)
+        dcc_sizes = self._content.sizes if self.scheme.dcc else None
         if not self.vectorized:
             return self._process_mach_scalar(
                 frame, slot_base, tags, aux, dcc_sizes)

@@ -8,8 +8,9 @@ to ``zlib.crc32``) are provided:
 * :func:`crc32` — table-driven, byte-at-a-time, for scalar use;
 * :func:`crc32_blocks` — numpy-vectorized over a ``(n, k)`` uint8 array
   of blocks, computing all ``n`` digests in a single gather/XOR-reduce
-  over per-position tables.  This is what the simulator uses on whole
-  frames.
+  over per-position tables.  This is what the simulator uses, on the
+  rows of each frame that changed since the previous one (see
+  :class:`repro.core.writeback.ContentSnapshot`).
 
 The positional-table trick: the byte step ``c' = T[(c ^ b) & 0xFF] ^
 (c >> 8)`` equals ``L(c ^ b)`` with ``L`` the zero-byte step, and ``L``
@@ -116,20 +117,23 @@ def _positional_tables(length: int, width: int) -> Tuple[np.ndarray, int]:
     return tables, crc ^ final
 
 
-# Reused per-shape intermediates (the gather index and term matrix are
-# ~250 KB per call at simulator frame sizes; reallocating them every
-# frame costs more than the gather itself).  The simulator is
-# single-process/single-threaded per run, matching the rest of the
-# stateful models.
+# Reused intermediates (the gather index and term matrix are ~250 KB
+# for a whole frame at simulator sizes; allocating them fresh on every
+# call costs more than the gather itself).  Each buffer keeps the most
+# rows seen for its block length and a call takes a leading slice, as
+# the write path digests a different number of changed rows per frame.
+# The simulator is single-process/single-threaded per run, matching the
+# rest of the stateful models.
 _SCRATCH: dict = {}
 
 
 def _scratch(key: str, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    rows, length = shape
     buf = _SCRATCH.get(key)
-    if buf is None or buf.shape != shape:
+    if buf is None or buf.shape[1] != length or len(buf) < rows:
         buf = np.empty(shape, dtype=dtype)
         _SCRATCH[key] = buf
-    return buf
+    return buf[:rows]
 
 
 def _flat_gather_index(blocks: np.ndarray) -> np.ndarray:

@@ -29,6 +29,13 @@ content that matches under gab but not under mab.
 
 Scenes last ``scene_len`` frames; a scene cut regenerates all pools
 (a burst of no-match blocks, like a real cut).
+
+Rendering is incremental: the common and unique rows of the current
+frame stay materialized and only rerolled rows are redrawn, so a frame
+costs its rerolled rows plus its noise rows (and one frame copy), not
+a full re-render.  The random draws are the same calls in the same
+order as a full render would make, so streams are seed-for-seed
+identical.
 """
 
 from __future__ import annotations
@@ -109,6 +116,25 @@ def _smooth_textures(rng: np.random.Generator, count: int, block_bytes: int,
     return walk
 
 
+def _texture_weights(profile: VideoProfile) -> np.ndarray:
+    """Popularity of each common-pool texture.
+
+    Texture 0 (flat) gets probability ``f_flat``; the remaining
+    textures follow a Zipf popularity (a few hot textures and a long
+    tail, like real scene content — this is what gives the MACH
+    realistic capacity pressure and the Fig. 9b top-digest
+    concentration).
+    """
+    ranks = np.arange(1, profile.common_pool, dtype=np.float64)
+    tail = ranks ** (-profile.zipf_s) if len(ranks) else ranks
+    weights = np.empty(profile.common_pool)
+    weights[0] = profile.f_flat
+    if len(tail):
+        weights[1:] = (1.0 - profile.f_flat) * tail / tail.sum()
+    weights /= weights.sum()
+    return weights
+
+
 class SyntheticVideo:
     """Iterable stream of :class:`DecodedFrame` for one profile.
 
@@ -176,7 +202,11 @@ class SyntheticVideo:
 
 
 class _SceneState:
-    """Mutable per-scene block assignment and content pools."""
+    """Per-scene content pools and the frame they render to.
+
+    :meth:`_reroll` re-renders the rows it rerolls in place; see the
+    module docstring for what a frame costs.
+    """
 
     def __init__(self, rng: np.random.Generator, profile: VideoProfile,
                  n_blocks: int, block_bytes: int) -> None:
@@ -184,15 +214,16 @@ class _SceneState:
         self._profile = profile
         self._n = n_blocks
         self._k = block_bytes
+        self._weights = _texture_weights(profile)
         # Filled by new_scene():
-        self._classes = np.zeros(n_blocks, dtype=np.int8)
-        self._texture_idx = np.zeros(n_blocks, dtype=np.int64)
-        self._bases = np.zeros((n_blocks, 3), dtype=np.uint8)
+        self._common = np.zeros(n_blocks, dtype=bool)
+        self._unique = np.zeros(n_blocks, dtype=bool)
+        self._noise = np.zeros(0, dtype=np.int64)
         self._common_textures = np.zeros((1, block_bytes), dtype=np.uint8)
         self._canonical_bases = np.zeros((1, 3), dtype=np.uint8)
         self._flat_colors = np.zeros((1, 3), dtype=np.uint8)
-        self._unique_textures = np.zeros((n_blocks, block_bytes),
-                                         dtype=np.uint8)
+        # Rendered common and unique rows; noise rows are drawn per frame.
+        self._frame = np.zeros((n_blocks, block_bytes), dtype=np.uint8)
 
     # -- scene lifecycle -------------------------------------------------
 
@@ -209,12 +240,18 @@ class _SceneState:
             0, 256, size=(pool, 3), dtype=np.uint8)
         self._flat_colors = rng.integers(
             0, 256, size=(prof.flat_palette, 3), dtype=np.uint8)
-        self._unique_textures = _smooth_textures(rng, n, k, step=11)
-        self._classes = rng.choice(
+        # Per-position smooth textures, drawn so every seed keeps its
+        # stream; the full reroll below gives each unique block fresh
+        # content, so they are never rendered.
+        _smooth_textures(rng, n, k, step=11)
+        classes = rng.choice(
             np.array([_COMMON, _UNIQUE, _NOISE], dtype=np.int8),
             size=n,
             p=[prof.f_common, prof.f_unique, prof.f_noise],
         )
+        self._common = classes == _COMMON
+        self._unique = classes == _UNIQUE
+        self._noise = np.flatnonzero(classes == _NOISE)
         self._reroll(np.ones(n, dtype=bool))
 
     def churn(self) -> None:
@@ -223,26 +260,14 @@ class _SceneState:
         self._reroll(update)
 
     def _reroll(self, mask: np.ndarray) -> None:
-        """Assign fresh (texture, base) choices for the masked blocks."""
-        rng, prof = self._rng, self._profile
-        common = mask & (self._classes == _COMMON)
+        """Assign and render fresh content for the masked blocks."""
+        rng, prof, k = self._rng, self._profile, self._k
+        common = mask & self._common
         n_common = int(common.sum())
         if n_common:
-            # Texture 0 (flat) gets probability f_flat; the remaining
-            # textures follow a Zipf popularity (a few hot textures and
-            # a long tail, like real scene content — this is what gives
-            # the MACH realistic capacity pressure and the Fig. 9b
-            # top-digest concentration).
-            ranks = np.arange(1, prof.common_pool, dtype=np.float64)
-            tail = ranks ** (-prof.zipf_s) if len(ranks) else ranks
-            weights = np.empty(prof.common_pool)
-            weights[0] = prof.f_flat
-            if len(tail):
-                weights[1:] = (1.0 - prof.f_flat) * tail / tail.sum()
-            weights /= weights.sum()
-            choice = rng.choice(prof.common_pool, size=n_common, p=weights)
-            self._texture_idx[common] = choice
-            bases = self._canonical_bases[choice].copy()
+            choice = rng.choice(prof.common_pool, size=n_common,
+                                p=self._weights)
+            bases = self._canonical_bases[choice]
             offset = rng.random(n_common) < prof.p_offset
             bases[offset] = rng.integers(
                 0, 256, size=(int(offset.sum()), 3), dtype=np.uint8)
@@ -251,31 +276,27 @@ class _SceneState:
             if n_flat:
                 palette = rng.integers(0, prof.flat_palette, size=n_flat)
                 bases[flat] = self._flat_colors[palette]
-            self._bases[common] = bases
-        unique = mask & (self._classes == _UNIQUE)
+            # uint8 wraparound by design: content = texture + base.
+            self._frame[common] = (self._common_textures[choice]
+                                   + np.tile(bases, (1, k // 3)))
+        unique = mask & self._unique
         n_unique = int(unique.sum())
         if n_unique:
             # A re-rolled unique block gets brand-new persistent content.
-            self._unique_textures[unique] = rng.integers(
-                0, 256, size=(n_unique, self._k), dtype=np.uint8)
+            self._frame[unique] = rng.integers(
+                0, 256, size=(n_unique, k), dtype=np.uint8)
 
     # -- rendering ---------------------------------------------------------
 
     def render(self) -> np.ndarray:
-        """Materialize the current frame's block matrix."""
-        rng, n, k = self._rng, self._n, self._k
-        blocks = np.empty((n, k), dtype=np.uint8)
-        common = self._classes == _COMMON
-        if common.any():
-            textures = self._common_textures[self._texture_idx[common]]
-            bases = np.tile(self._bases[common], (1, k // 3))
-            blocks[common] = textures + bases  # uint8 wraparound by design
-        unique = self._classes == _UNIQUE
-        if unique.any():
-            blocks[unique] = self._unique_textures[unique]
-        noise = self._classes == _NOISE
-        n_noise = int(noise.sum())
+        """The current frame's block matrix, with fresh noise rows.
+
+        Returns a new array each call, so a caller may keep or modify
+        it without touching later frames.
+        """
+        blocks = self._frame.copy()
+        n_noise = len(self._noise)
         if n_noise:
-            blocks[noise] = rng.integers(
-                0, 256, size=(n_noise, k), dtype=np.uint8)
+            blocks[self._noise] = self._rng.integers(
+                0, 256, size=(n_noise, self._k), dtype=np.uint8)
         return blocks

@@ -61,3 +61,44 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "captured 12 frames" in out
         assert "baseline energy" in out
+
+
+class TestErrors:
+    """Bad input exits 2 with one ``repro: error:`` line on stderr."""
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["run", "V99", "gab"], "unknown workload 'V99'"),
+        (["run", "V8", "gab", "--frames", "0"], "need at least one frame"),
+        (["network", "--bandwidth", "-1"], "bandwidth must be positive"),
+    ])
+    def test_repro_error_is_one_line(self, capsys, argv, fragment):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: error: ")
+        assert fragment in lines[0]
+
+    def test_multiline_message_is_flattened(self, capsys, monkeypatch):
+        from repro import cli
+        from repro.errors import ConfigError
+
+        def broken(_key):
+            raise ConfigError("first\nsecond")
+
+        monkeypatch.setattr(cli, "workload", broken)
+        assert main(["run", "V8", "gab"]) == 2
+        assert capsys.readouterr().err == "repro: error: first second\n"
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        """Only the simulator's typed errors are user input problems;
+        anything else is a bug and keeps its traceback."""
+        from repro import cli
+
+        def broken(_key):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(cli, "workload", broken)
+        with pytest.raises(RuntimeError):
+            main(["run", "V8", "gab"])

@@ -29,6 +29,7 @@ from repro.faults import FaultPlan, SegmentFault, conceal_blocks
 from repro.network import deliver_for_config
 from repro.units import MBPS
 from repro.video import workload
+from repro.video.synthesis import SyntheticVideo
 from repro.video.codec import Decoder, Encoder
 from repro.errors import CodecError
 
@@ -292,6 +293,29 @@ class TestPipelineFaults:
                        seed=5, config=cfg)
         assert run.concealed_blocks > 0
         assert run.injected_collisions == 0  # no MACH, no collisions
+
+    @pytest.mark.parametrize("impairment", ["faults", "overlay"])
+    def test_caller_frames_left_untouched(self, impairment):
+        """Concealment works on a pipeline-local frame: the caller's
+        frames (objects and bytes) survive a lossy run, and a clean
+        rerun over the same list reproduces the clean result."""
+        cfg = SimulationConfig()
+        frames = list(SyntheticVideo(cfg.video, workload("V8"), seed=5,
+                                     n_frames=24))
+        arrays = [frame.blocks for frame in frames]
+        snapshot = [frame.blocks.copy() for frame in frames]
+        clean = simulate(frames, GAB, config=cfg).to_jsonable()
+        if impairment == "faults":
+            lossy = simulate(frames, GAB, config=replace(
+                cfg, faults=FaultConfig(block_bit_error=2e-4, seed=8)))
+        else:
+            lossy = simulate(frames, GAB, config=cfg, block_loss_overlay={
+                i: np.arange(i, 400, 7) for i in range(24)})
+        assert lossy.concealed_blocks > 0
+        for frame, array, before in zip(frames, arrays, snapshot):
+            assert frame.blocks is array
+            assert np.array_equal(array, before)
+        assert simulate(frames, GAB, config=cfg).to_jsonable() == clean
 
 
 class TestDecoderConcealment:

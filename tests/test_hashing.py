@@ -19,6 +19,7 @@ from repro.hashing import (
     crc32_blocks,
     get_scheme,
 )
+from repro.hashing.crc import crc_pair_blocks
 from repro.hashing.digest import CollisionTracker
 
 
@@ -48,6 +49,20 @@ class TestCrc32:
         for i in range(len(random_blocks)):
             assert int(vectorized[i]) == zlib.crc32(
                 random_blocks[i].tobytes())
+
+    def test_row_counts_varying_between_calls(self):
+        """The write path digests a different number of rows each
+        frame; reused scratch buffers must not leak stale rows."""
+        rng = np.random.default_rng(5)
+        for rows, length in ((40, 48), (7, 48), (0, 48), (90, 48),
+                             (12, 12), (33, 48)):
+            blocks = rng.integers(0, 256, size=(rows, length),
+                                  dtype=np.uint8)
+            crc32s, crc16s = crc_pair_blocks(blocks)
+            assert [int(c) for c in crc32s] == [
+                zlib.crc32(row.tobytes()) for row in blocks]
+            assert [int(c) for c in crc16s] == [
+                crc16(row.tobytes()) for row in blocks]
 
     def test_vectorized_rejects_non_uint8(self):
         with pytest.raises(TypeError):
