@@ -14,10 +14,8 @@ iterable of :class:`DecodedFrame`), so the numbers measure the pipeline
 itself rather than content synthesis.  Three reference points live in
 ``BENCH_speed.json``:
 
-* ``full.configs`` — vectorized frames/sec per configuration;
-* ``scalar_reference`` — the same matrix with ``vectorized=False``
-  (the retained scalar kernels, re-measurable at any commit — the
-  equivalence suite proves the two paths bit-identical);
+* ``full.configs`` — frames/sec per configuration;
+* ``smoke.configs`` — the same at the CI smoke size;
 * ``pre_pr`` — a frozen anchor measured on the pre-vectorization tree
   (regenerate with ``--emit-anchor`` from a checkout of that commit).
 
@@ -35,7 +33,6 @@ ratio to ``raw_baseline`` measured in the same run.
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import platform
@@ -46,7 +43,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro import simulate, workload
-from repro.analysis import format_table
 from repro.config import (
     BASELINE,
     GAB,
@@ -123,12 +119,8 @@ def _materialize(cfg: SimulationConfig, n_frames: int) -> List[DecodedFrame]:
 
 
 def _simulate_kwargs(entry: MatrixEntry, cfg: SimulationConfig,
-                     n_frames: int, vectorized: bool) -> Dict[str, object]:
+                     n_frames: int) -> Dict[str, object]:
     kwargs: Dict[str, object] = {}
-    # The pre-PR anchor tree predates the flag; gate on the signature
-    # so the same bench file measures both trees.
-    if "vectorized" in inspect.signature(simulate).parameters:
-        kwargs["vectorized"] = vectorized
     if entry.buffer_policy != "lazy":
         kwargs["buffer_policy"] = entry.buffer_policy
     if entry.network:
@@ -150,8 +142,8 @@ def _entry_config(entry: MatrixEntry, cfg: SimulationConfig) -> SimulationConfig
 
 
 def _measure(entries: Sequence[MatrixEntry], stream: Sequence[DecodedFrame],
-             cfg: SimulationConfig, n_frames: int, repeats: int,
-             vectorized: bool = True) -> Dict[str, Dict[str, float]]:
+             cfg: SimulationConfig, n_frames: int,
+             repeats: int) -> Dict[str, Dict[str, float]]:
     """Best-of-``repeats`` wall time per configuration.
 
     Repeats run round-robin over ``entries``, so every configuration's
@@ -163,7 +155,7 @@ def _measure(entries: Sequence[MatrixEntry], stream: Sequence[DecodedFrame],
     for entry in entries:
         run_cfg = _entry_config(entry, cfg)
         runs.append((entry, run_cfg, _simulate_kwargs(
-            entry, run_cfg, n_frames, vectorized)))
+            entry, run_cfg, n_frames)))
     best = {entry.name: math.inf for entry in entries}
     for _ in range(repeats):
         for entry, run_cfg, kwargs in runs:
@@ -179,13 +171,12 @@ def _measure(entries: Sequence[MatrixEntry], stream: Sequence[DecodedFrame],
     }
 
 
-def _measure_matrix(n_frames: int, repeats: int, vectorized: bool = True,
+def _measure_matrix(n_frames: int, repeats: int,
                     progress: Optional[Callable[[str], None]] = None,
                     ) -> Dict[str, Dict[str, float]]:
     cfg = SimulationConfig()
     stream = _materialize(cfg, n_frames)
-    configs = _measure(MATRIX, stream, cfg, n_frames, repeats,
-                       vectorized=vectorized)
+    configs = _measure(MATRIX, stream, cfg, n_frames, repeats)
     if progress is not None:
         for name, row in configs.items():
             progress(f"  {name:22s} {row['frames_per_second']:8.0f} "
@@ -215,15 +206,11 @@ def _bench(repeats: int = 3,
     # Smoke first, from the same process state the ``--smoke`` gate
     # starts in: the full sessions warm memoized per-frame state that
     # would inflate the checked-in smoke numbers.
-    say("vectorized (smoke size):")
+    say("smoke size:")
     smoke = _measure_matrix(SMOKE_FRAMES, SMOKE_REPEATS,
                             progress=progress)
-    say("vectorized (full):")
+    say("full:")
     full = _measure_matrix(FULL_FRAMES, repeats, progress=progress)
-    say("scalar reference:")
-    scalar = _measure_matrix(FULL_FRAMES, 2, vectorized=False,
-                             progress=progress)
-    vs_scalar = _speedups(full, scalar)
     payload: Dict[str, object] = {
         "schema": 1,
         "seed": BENCH_SEED,
@@ -237,13 +224,9 @@ def _bench(repeats: int = 3,
                  "configs": full},
         "smoke": {"n_frames": SMOKE_FRAMES, "repeats": SMOKE_REPEATS,
                   "configs": smoke},
-        "scalar_reference": {"n_frames": FULL_FRAMES, "repeats": 2,
-                             "configs": scalar},
-        "speedup_vs_scalar": vs_scalar,
         "aggregate": {
             "geomean_fps": _geomean(
                 [row["frames_per_second"] for row in full.values()]),
-            "geomean_speedup_vs_scalar": _geomean(list(vs_scalar.values())),
         },
     }
     if anchor is not None:
@@ -300,33 +283,12 @@ def check_normalized(measured: Dict[str, Dict[str, float]],
     return failures
 
 
-def test_vectorized_speedup(emit):
-    """The SoA kernels beat the scalar reference on the MACH matrix."""
-    cfg = SimulationConfig()
-    stream = _materialize(cfg, SMOKE_FRAMES)
-    rows = []
-    for entry in MATRIX:
-        if not entry.scheme.uses_mach:
-            continue
-        fast = _measure([entry], stream, cfg, SMOKE_FRAMES, 2)[entry.name]
-        slow = _measure([entry], stream, cfg, SMOKE_FRAMES, 2,
-                        vectorized=False)[entry.name]
-        ratio = (fast["frames_per_second"] / slow["frames_per_second"])
-        rows.append([entry.name, fast["frames_per_second"],
-                     slow["frames_per_second"], ratio])
-    emit(format_table(
-        ["config", "vectorized f/s", "scalar f/s", "speedup"], rows,
-        title="SoA kernel speedup (reduced matrix)"))
-    assert all(row[-1] > 1.5 for row in rows), (
-        "vectorized write path no longer beats the scalar reference")
-
-
 def _main() -> None:  # pragma: no cover - script entry
     import argparse
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
-                        help="reduced sweep for CI (vectorized only)")
+                        help="reduced sweep for CI")
     parser.add_argument("--check", metavar="JSON",
                         help="fail on fps regression vs this checked-in "
                              "BENCH_speed.json")
@@ -339,21 +301,31 @@ def _main() -> None:  # pragma: no cover - script entry
     parser.add_argument("--emit-anchor", action="store_true",
                         help="measure this tree's default path and emit "
                              "an anchor JSON instead of the full payload")
-    parser.add_argument("--out", default="BENCH_speed.json")
+    parser.add_argument("--out",
+                        help="where to write the payload (default "
+                             "BENCH_speed.json; a --smoke run writes "
+                             "only when this is given)")
     args = parser.parse_args()
+    out = args.out or "BENCH_speed.json"
 
     if args.emit_anchor:
         configs = _measure_matrix(FULL_FRAMES, 2, progress=print)
         anchor = {"n_frames": FULL_FRAMES, "configs": configs,
                   "note": "measured on the pre-vectorization tree with "
                           "this same bench file"}
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with open(out, "w", encoding="utf-8") as handle:
             json.dump(anchor, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print(f"wrote anchor {args.out}")
+        print(f"wrote anchor {out}")
         return
 
     if args.smoke:
+        # Read the reference before anything is written: ``--out`` may
+        # name the same file.
+        reference = None
+        if args.check:
+            with open(args.check, "r", encoding="utf-8") as handle:
+                reference = json.load(handle)
         print("smoke matrix:")
         configs = _measure_matrix(SMOKE_FRAMES, SMOKE_REPEATS,
                                   progress=print)
@@ -363,13 +335,12 @@ def _main() -> None:  # pragma: no cover - script entry
             "smoke": {"n_frames": SMOKE_FRAMES, "repeats": SMOKE_REPEATS,
                       "configs": configs},
         }
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.out}")
-        if args.check:
-            with open(args.check, "r", encoding="utf-8") as handle:
-                reference = json.load(handle)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+            print(f"wrote {args.out}")
+        if reference is not None:
             ref_configs = reference["smoke"]["configs"]
             failures = (
                 check_regression(configs, ref_configs, args.tolerance)
@@ -386,12 +357,11 @@ def _main() -> None:  # pragma: no cover - script entry
         with open(args.anchor, "r", encoding="utf-8") as handle:
             anchor = json.load(handle)
     payload = _bench(anchor=anchor, progress=print)
-    with open(args.out, "w", encoding="utf-8") as handle:
+    with open(out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     agg = payload["aggregate"]
-    line = (f"wrote {args.out}: geomean {agg['geomean_fps']:,.0f} f/s, "
-            f"{agg['geomean_speedup_vs_scalar']:.1f}x vs scalar")
+    line = f"wrote {out}: geomean {agg['geomean_fps']:,.0f} f/s"
     if "geomean_speedup_vs_pre_pr" in agg:
         line += f", {agg['geomean_speedup_vs_pre_pr']:.1f}x vs pre-PR"
     print(line)

@@ -318,13 +318,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         calibrate,
         default_population,
         load_or_calibrate,
+        load_population_spec,
         run_fleet,
         run_fleet_supervised,
     )
 
     if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            spec = PopulationSpec.from_jsonable(json.load(handle))
+        spec = load_population_spec(args.spec)
     elif args.smoke:
         # A 1-device, 2-title population whose calibration runs in
         # seconds — the CI chaos-smoke target.

@@ -3,7 +3,7 @@ the Race-to-Sleep pipeline that ties every substrate together."""
 
 from .energy import EnergyBreakdown
 from .gradient import from_gradient, to_gradient
-from .mach import FrameMach, FrozenMach, MachRing, MatchKind
+from .mach import FrozenMach, MachRing
 from .pipeline import simulate
 from .pipelines import RecordingPipeline, RenderPipeline
 from .related_work import simulate_slack_dvfs
@@ -14,10 +14,8 @@ __all__ = [
     "EnergyBreakdown",
     "from_gradient",
     "to_gradient",
-    "FrameMach",
     "FrozenMach",
     "MachRing",
-    "MatchKind",
     "simulate",
     "RecordingPipeline",
     "RenderPipeline",

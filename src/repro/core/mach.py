@@ -13,32 +13,25 @@ collision, and the colliding entry is kept in a small side cache tagged
 by the full 48-bit digest.  Without CO-MACH a CRC32 collision silently
 reuses the wrong block — the tracker still counts those so Fig. 12d can
 report them.
+
+This module holds the frozen ring and the match statistics; the write
+path (:mod:`repro.core.writeback`) models the current frame's MACH and
+its CO-MACH side cache while it classifies a frame.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
-from typing import Deque, Dict, Optional, Sequence, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..cache import SetAssociativeCache
 from ..config import MachConfig
-from ..errors import SchedulingError
 
 _AUX_MASK = 0xFFFF
 _TAG_MASK = 0xFFFFFFFF
-
-
-class MatchKind(Enum):
-    """Where a block's content was found (Fig. 7b categories)."""
-
-    INTRA = "intra"
-    INTER = "inter"
-    NONE = "none"
 
 
 @dataclass
@@ -69,31 +62,19 @@ class MachStats:
             return 0.0
         return (self.intra + self.inter) / self.total
 
-    def record(self, kind: MatchKind, digest: int) -> None:
-        if kind is MatchKind.INTRA:
-            self.intra += 1
-            self.match_counter[digest] += 1
-        elif kind is MatchKind.INTER:
-            self.inter += 1
-            self.match_counter[digest] += 1
-        else:
-            self.none += 1
-
     def record_batch(self, intra: int, inter: int, none: int,
-                     matched_digests: Sequence[int],
-                     matched_counts: Sequence[int]) -> None:
-        """Bulk equivalent of per-block :meth:`record` calls.
+                     matched_digests: np.ndarray) -> None:
+        """Count one frame's intra, inter and unmatched (stored) blocks.
 
-        ``matched_digests`` must be ordered by first match occurrence
-        within the batch so that ``match_counter`` keeps the exact
-        insertion order the scalar loop would have produced.
+        ``matched_digests`` holds the digest of every matched block.
         """
         self.intra += intra
         self.inter += inter
         self.none += none
         if len(matched_digests):
+            digests, counts = np.unique(matched_digests, return_counts=True)
             self.match_counter.update(
-                dict(zip(matched_digests, matched_counts)))
+                dict(zip(digests.tolist(), counts.tolist())))
 
     def top_match_share(self, top_n: int = 1) -> float:
         """Fraction of all matches owned by the ``top_n`` digests (Fig. 9b)."""
@@ -130,156 +111,23 @@ class FrozenMach:
         return dig, vals[:, 0].copy(), vals[:, 1].copy()
 
 
-class FrameMach:
-    """The MACH of the frame currently being decoded.
-
-    ``unbounded=True`` replaces the set-associative structure with a
-    plain dict — the capacity-free oracle used as the "optimal" bar in
-    Fig. 9a.
-    """
-
-    def __init__(self, config: MachConfig, frame_index: int,
-                 unbounded: bool = False) -> None:
-        self.config = config
-        self.frame_index = frame_index
-        self.unbounded = unbounded
-        if unbounded:
-            self._dict: Optional[Dict[int, Tuple[int, int]]] = {}
-            self._cache: Optional[SetAssociativeCache] = None
-        else:
-            self._dict = None
-            self._cache = SetAssociativeCache(
-                sets=config.sets_per_mach, ways=config.ways)
-        self._co_mach: Optional[SetAssociativeCache] = None
-        if config.co_mach and not unbounded:
-            co_sets = max(1, config.co_mach_entries // config.ways)
-            # Round the CO-MACH set count down to a power of two.
-            co_sets = 1 << (co_sets.bit_length() - 1)
-            self._co_mach = SetAssociativeCache(sets=co_sets, ways=config.ways)
-
-    def lookup(self, digest: int, aux: int,
-               stats: Optional[MachStats] = None) -> Optional[int]:
-        """Find ``digest`` in this MACH; returns the block address or None.
-
-        ``aux`` is the CRC16 auxiliary used for CO-MACH collision
-        detection; pass 0 when the digest scheme has no aux bits.
-        """
-        if self._dict is not None:
-            entry = self._dict.get(digest)
-        else:
-            assert self._cache is not None
-            _, entry = self._cache.lookup(digest)
-        if entry is not None:
-            address, stored_aux = entry
-            if stored_aux == aux or not self.config.co_mach:
-                if stored_aux != aux and stats is not None:
-                    stats.silent_collisions += 1
-                return address
-            # Detected CRC32 collision: fall back to CO-MACH.
-            if stats is not None:
-                stats.detected_collisions += 1
-            if self._co_mach is not None:
-                deep_tag = (aux << 32) | digest
-                _, co_entry = self._co_mach.lookup(deep_tag)
-                if co_entry is not None:
-                    if stats is not None:
-                        stats.co_mach_hits += 1
-                    return int(co_entry)
-            return None
-        if self._co_mach is not None:
-            deep_tag = (aux << 32) | digest
-            _, co_entry = self._co_mach.lookup(deep_tag)
-            if co_entry is not None:
-                if stats is not None:
-                    stats.co_mach_hits += 1
-                return int(co_entry)
-        return None
-
-    def insert(self, digest: int, address: int, aux: int) -> None:
-        """Record that the block with ``digest`` now lives at ``address``."""
-        if self._dict is not None:
-            self._dict[digest] = (address, aux)
-            return
-        assert self._cache is not None
-        if self.config.co_mach:
-            existing = self._cache.peek(digest)
-            if existing is not None and existing[1] != aux:
-                # Collided with a resident entry: spill to CO-MACH.
-                if self._co_mach is not None:
-                    self._co_mach.insert((aux << 32) | digest, address)
-                return
-        self._cache.insert(digest, (address, aux))
-
-    def freeze(self) -> FrozenMach:
-        """Finish the frame: snapshot resident entries immutably."""
-        if self._dict is not None:
-            table = dict(self._dict)
-        else:
-            assert self._cache is not None
-            table = {digest: value for digest, value in self._cache.items()}
-        digests = np.fromiter(table.keys(), dtype=np.uint64, count=len(table))
-        return FrozenMach(self.frame_index, table, digests)
-
-
 class MachRing:
-    """The current MACH plus the frozen ring of recent frames."""
+    """The frozen ring of recent frames' MACHs, and the run's stats.
+
+    The write path classifies each frame against the ring at once
+    (:meth:`lookup_batch`) and hands the finished frame MACH back with
+    :meth:`ingest_frozen`.
+    """
 
     def __init__(self, config: MachConfig, unbounded: bool = False) -> None:
         self.config = config
         self.unbounded = unbounded
         self.stats = MachStats()
-        self._current: Optional[FrameMach] = None
         self._frozen: Deque[FrozenMach] = deque(maxlen=max(config.num_machs - 1, 0))
         self._batch_view: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
-    def ensure_idle(self) -> None:
-        """Raise unless the previous frame's MACH was ended/ingested."""
-        if self._current is not None:
-            raise SchedulingError("previous frame was never ended")
-
-    def begin_frame(self, frame_index: int) -> None:
-        self.ensure_idle()
-        self._current = FrameMach(self.config, frame_index, self.unbounded)
-
-    def lookup(self, digest: int, aux: int = 0) -> Tuple[MatchKind, Optional[int]]:
-        """Search current-then-frozen; returns (kind, address)."""
-        current = self._require_current()
-        address = current.lookup(digest, aux, self.stats)
-        if address is not None:
-            return MatchKind.INTRA, address
-        for frozen in reversed(self._frozen):  # newest frame first
-            entry = frozen.table.get(digest)
-            if entry is not None:
-                stored_address, stored_aux = entry
-                if stored_aux != aux and self.config.co_mach:
-                    self.stats.detected_collisions += 1
-                    continue
-                if stored_aux != aux:
-                    self.stats.silent_collisions += 1
-                return MatchKind.INTER, stored_address
-        return MatchKind.NONE, None
-
-    def insert(self, digest: int, address: int, aux: int = 0) -> None:
-        self._require_current().insert(digest, address, aux)
-
-    def end_frame(self) -> FrozenMach:
-        """Freeze the current frame's MACH and rotate it into the ring."""
-        frozen = self._require_current().freeze()
-        if self._frozen.maxlen:
-            self._frozen.append(frozen)
-            self._batch_view = None
-        self._current = None
-        return frozen
-
     def ingest_frozen(self, frozen: FrozenMach) -> None:
-        """Rotate an externally built frame MACH into the ring.
-
-        The batched write path classifies a whole frame at once and
-        never materializes a :class:`FrameMach`; it hands the finished
-        snapshot straight to the ring.  The same begin/end scheduling
-        invariant applies.
-        """
-        self.ensure_idle()
+        """Rotate a finished frame MACH into the ring."""
         if self._frozen.maxlen:
             self._frozen.append(frozen)
             self._batch_view = None
@@ -289,25 +137,29 @@ class MachRing:
             aux: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Frozen-ring lookup of many digests at once, without stats.
 
-        Returns ``(found, addresses, mismatch)`` where ``found`` marks
-        digests resident in at least one frozen frame, ``addresses``
-        holds the match address from the *newest* such frame (the one
-        the scalar walk would return), and ``mismatch`` marks found
-        digests whose newest entry carries a different CRC16 aux than
-        the query — a silent match without CO-MACH, a detected
-        collision (and a walk into older frames) with it.
+        Returns ``(found, addresses, collisions)``, one entry per
+        query, for a lookup that walks the ring newest frame first:
+
+        * without CO-MACH the walk stops at the newest frame holding
+          the digest; ``collisions`` is 1 where that entry's CRC16 aux
+          differs from the query's (a silent match), else 0;
+        * with CO-MACH it skips every frame whose entry carries another
+          aux and stops at the newest one holding the (digest, aux)
+          pair; ``collisions`` counts the skipped frames (detected
+          collisions).
+
+        ``found`` marks queries the walk matched and ``addresses`` holds
+        the match address from the frame it stopped at.
 
         Pure: ring state and stats are untouched.
         """
         n = len(digests)
-        found = np.zeros(n, dtype=bool)
         addresses = np.zeros(n, dtype=np.int64)
-        mismatch = np.zeros(n, dtype=bool)
         view = self._batch_view
         if view is None:
             parts_d, parts_a, parts_x = [], [], []
-            # Newest first, so ties on digest resolve to the newest
-            # frame after the stable argsort below.
+            # Newest first, so each digest's entries come out newest
+            # first after the stable argsort below.
             for frozen in reversed(self._frozen):
                 if not frozen.table:
                     continue
@@ -326,23 +178,29 @@ class MachRing:
             self._batch_view = view
         ring_d, ring_a, ring_x = view
         if not len(ring_d):
-            return found, addresses, mismatch
-        pos = np.searchsorted(ring_d, digests, side="left")
-        pos = np.minimum(pos, len(ring_d) - 1)
-        found = ring_d[pos] == digests
-        hit_pos = pos[found]
-        addresses[found] = ring_a[hit_pos]
-        mismatch[found] = ring_x[hit_pos] != aux[found]
-        return found, addresses, mismatch
-
-    def _require_current(self) -> FrameMach:
-        if self._current is None:
-            raise SchedulingError("no frame in progress; call begin_frame()")
-        return self._current
-
-    @property
-    def frozen_frames(self) -> Tuple[int, ...]:
-        return tuple(f.frame_index for f in self._frozen)
+            return (np.zeros(n, dtype=bool), addresses,
+                    np.zeros(n, dtype=np.int64))
+        first = np.searchsorted(ring_d, digests, side="left")
+        if not self.config.co_mach:
+            pos = np.minimum(first, len(ring_d) - 1)
+            found = ring_d[pos] == digests
+            hit_pos = pos[found]
+            addresses[found] = ring_a[hit_pos]
+            collisions = np.zeros(n, dtype=np.int64)
+            collisions[found] = ring_x[hit_pos] != aux[found]
+            return found, addresses, collisions
+        # A frame holds a digest at most once, so the run of ring
+        # entries for a digest has one entry per frame, newest first.
+        end = np.searchsorted(ring_d, digests, side="right")
+        match = np.full(n, -1, dtype=np.int64)
+        for depth in range(int((end - first).max(initial=0))):
+            pos = first + depth
+            open_ = np.flatnonzero((match < 0) & (pos < end))
+            same = ring_x[pos[open_]] == aux[open_]
+            match[open_[same]] = pos[open_[same]]
+        found = match >= 0
+        addresses[found] = ring_a[match[found]]
+        return found, addresses, np.where(found, match, end) - first
 
 
 def split_digest(deep_digest: int) -> Tuple[int, int]:

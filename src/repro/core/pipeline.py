@@ -170,10 +170,13 @@ def simulate(
     use_mach_buffer: bool = True,
     buffer_policy: str = "lazy",
     network_model: Optional[FrameSource] = None,
-    vectorized: bool = True,
     block_loss_overlay: Optional[Mapping[int, np.ndarray]] = None,
 ) -> RunResult:
     """Simulate playback of ``source`` under ``scheme``.
+
+    The write path classifies each frame's MACH lookups in one batch
+    (:class:`~repro.core.writeback.WritebackEngine`); the test suite
+    holds it bit-identical to the per-block walk of the paper's MACH.
 
     Args:
         source: what to play — a :class:`VideoProfile` (Table 1 entry
@@ -193,12 +196,6 @@ def simulate(
             a :class:`repro.network.DeliveredNetworkModel` to drive
             availability (and hence the Race-to-Sleep batch cap) from
             a trace-driven delivery run.
-        vectorized: use the batched write path (default): the SoA
-            kernel for clean frames, the set-local replay for faulted
-            and eager-buffer ones.
-            ``False`` forces the retained scalar per-block reference
-            everywhere — the two settings produce bit-identical
-            results, which the equivalence suite asserts.
         block_loss_overlay: per-frame macroblock indices lost upstream
             of the decoder (the realtime mode's unrecovered packets,
             :meth:`repro.realtime.RealtimeResult.block_overlay`).
@@ -273,12 +270,11 @@ def simulate(
     # faulted run is exactly as deterministic as a clean one.
     fault_plan = FaultPlan.from_config(cfg.faults)
     # The eager MACH-buffer prefetch consumes the frozen dump's
-    # iteration order, so the write path must emit it in the scalar
+    # iteration order, so the write path must emit it in the MACH's
     # (set, way-slot) order, which its set-local replay does.
     writeback = WritebackEngine(
         video_cfg, sim_mach_cfg, scheme, cfg.dram.line_bytes,
         unbounded_mach=unbounded_mach, fault_plan=fault_plan,
-        vectorized=vectorized,
         ordered_dump=use_mach_buffer and buffer_policy == "eager")
     display = DisplayController(cfg.display, cfg.calibration.display_scan_duty)
     reader = DisplayReadEngine(

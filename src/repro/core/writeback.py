@@ -35,7 +35,7 @@ from ..video.frame import DecodedFrame
 from .coalesce import sequential_lines, uncoalesced_stream_lines
 from .gradient import to_gradient
 from .layout import FrameLayout, LayoutMode, RecordKind
-from .mach import FrozenMach, MachRing, MachStats, MatchKind
+from .mach import FrozenMach, MachRing, MachStats
 from .soa import lru_touch_classify
 
 _DUMP_ENTRY_BYTES = 8  # digest (4) + pointer (4)
@@ -93,71 +93,118 @@ class SetLocalReplay:
     providers: np.ndarray  # per hit: the stored block its entry held
     stored: np.ndarray  # blocks stored (and inserted), ascending
     resident: np.ndarray  # stored blocks left in the MACH, dump order
+    detected: int  # tag hits whose CRC16 aux differed (CO-MACH)
+    side_hits: int  # hits served by the CO-MACH side cache
 
 
 def set_local_replay(keys: np.ndarray, found: np.ndarray,
-                     store: np.ndarray, n_sets: int,
-                     ways: int) -> SetLocalReplay:
+                     store: np.ndarray, n_sets: int, ways: int,
+                     aux: Optional[np.ndarray] = None,
+                     side_sets: int = 0) -> SetLocalReplay:
     """Replay one frame's walk through its current MACH, exactly.
 
-    Per block in order, the scalar walk looks the digest up in the
-    current MACH (a hit makes it most recent), then in the frozen ring
+    Per block in order, the walk looks the digest up in the current
+    MACH (a tag hit makes it most recent), then in the frozen ring
     (``found``).  A block that misses both is stored and inserted;
     ``store`` forces a store on a block that matched — inserted, or
     updated in place when already resident.  A plain dict per set
-    (digest -> way slot, least recent first) stands in for
-    :class:`~repro.cache.SetAssociativeCache`: a full set hands its LRU
-    victim's way slot to the new entry, so ``resident`` comes out in
-    the cache's (set, way-slot) iteration order.  An unbounded MACH is
-    one set with a way per block: it never evicts, and its slots count
-    first insertions, which is the oracle dict's order.
+    (digest -> way slot, least recent first) stands in for an LRU
+    set-associative cache: a full set hands its LRU victim's way slot
+    to the new entry, so ``resident`` comes out in the cache's (set,
+    way-slot) iteration order.  An unbounded MACH is one set with a
+    way per block: it never evicts, and its slots count first
+    insertions, which is a dict's order.
 
-    ``found`` must be a property of the digest, as it is while one
-    frame decodes against a fixed frozen ring.  Then only blocks that
-    miss the ring, or whose digest a forced store may have made
-    resident, can touch the current MACH; every other block is a
-    frozen-ring match and is skipped.
+    CO-MACH (``aux`` given) keeps each entry's CRC16 aux: a tag hit
+    whose aux differs is a detected collision, not a hit.  Such a
+    lookup, and every lookup that misses the MACH, then probes the
+    side cache — ``side_sets`` LRU sets of ``ways``, keyed by the deep
+    tag ``(aux << 32) | digest`` — where a hit is an intra match.  A
+    store whose digest is resident with another aux spills to the side
+    cache; with no side cache (``side_sets=0``, an unbounded MACH) it
+    overwrites the entry in place.  Side entries never reach
+    ``resident``.
+
+    ``found`` must be a property of the (digest, aux) pair, as it is
+    while one frame decodes against a fixed frozen ring.  Then only
+    blocks whose digest some block may store (one that misses the ring,
+    or a forced store) can touch the current MACH or its side cache;
+    every other block is a frozen-ring match and is skipped.
     """
     keys = np.asarray(keys, dtype=np.int64)
-    walked = ~found
-    forced_found = found & store
-    if forced_found.any():
-        walked |= np.isin(keys, keys[forced_found])
-    walk_idx = np.flatnonzero(walked)
+    walk_idx = np.flatnonzero(np.isin(keys, keys[~found | store]))
+    co_mach = aux is not None
+    auxes = aux.tolist() if co_mach else [0] * len(keys)
 
     set_mask = n_sets - 1
+    side_mask = side_sets - 1
     lru: List[Dict[int, int]] = [{} for _ in range(n_sets)]
+    side: List[Dict[int, int]] = [{} for _ in range(side_sets)]
     owner: Dict[int, int] = {}  # digest -> stored block its entry holds
+    side_owner: Dict[int, int] = {}  # deep tag -> spilled block
     hits: List[int] = []
     providers: List[int] = []
     stored: List[int] = []
+    detected = side_hits = 0
     for i, key, in_ring, forced in zip(
             walk_idx.tolist(), keys[walk_idx].tolist(),
             found[walk_idx].tolist(), store[walk_idx].tolist()):
         entries = lru[key & set_mask]
         slot = entries.pop(key, None)
+        provider = None
+        collided = False
         if slot is not None:
             entries[key] = slot  # now most recent
+            provider = owner[key]
+            if co_mach and auxes[provider] != auxes[i]:
+                detected += 1
+                collided = True
+                provider = None
+        if provider is None and side:
+            deep = (auxes[i] << 32) | key
+            side_entries = side[deep & side_mask]
+            side_slot = side_entries.pop(deep, None)
+            if side_slot is not None:
+                side_entries[deep] = side_slot
+                provider = side_owner[deep]
+                side_hits += 1
+        if provider is not None:
             hits.append(i)
-            providers.append(owner[key])
-            if forced:
-                owner[key] = i
-                stored.append(i)
-        elif forced or not in_ring:
-            if len(entries) == ways:
-                slot = entries.pop(next(iter(entries)))
-            else:
-                slot = len(entries)
-            entries[key] = slot
-            owner[key] = i
-            stored.append(i)
+            providers.append(provider)
+            if not forced:
+                continue
+        elif in_ring and not forced:
+            continue
+        stored.append(i)
+        if collided and side:
+            deep = (auxes[i] << 32) | key
+            _insert(side[deep & side_mask], deep, ways)
+            side_owner[deep] = i
+            continue
+        if slot is None:
+            _insert(entries, key, ways)
+        owner[key] = i
     resident = [owner[key]
                 for entries in lru
                 for key, _ in sorted(entries.items(),
                                      key=lambda item: item[1])]
     return SetLocalReplay(
         np.array(hits, dtype=np.int64), np.array(providers, dtype=np.int64),
-        np.array(stored, dtype=np.int64), np.array(resident, dtype=np.int64))
+        np.array(stored, dtype=np.int64), np.array(resident, dtype=np.int64),
+        detected, side_hits)
+
+
+def _insert(entries: Dict[int, int], key: int, ways: int) -> None:
+    """Make ``key`` the most recent entry of one LRU set.
+
+    A resident key keeps its way slot; a new one takes a free slot or,
+    in a full set, the least recent entry's.
+    """
+    slot = entries.pop(key, None)
+    if slot is None:
+        slot = (entries.pop(next(iter(entries))) if len(entries) == ways
+                else len(entries))
+    entries[key] = slot
 
 
 def changed_rows(blocks: np.ndarray, previous: np.ndarray) -> np.ndarray:
@@ -220,29 +267,30 @@ class ContentSnapshot:
 
 
 class WritebackEngine:
-    """Stateful per-video write path for one scheme."""
+    """Stateful per-video write path for one scheme.
+
+    Every MACH frame is classified in one batch against the frozen
+    ring: clean frames by the closed-form SoA kernel
+    (:func:`repro.core.soa.lru_touch_classify`), every other frame —
+    injected or natural digest collisions, CO-MACH included, or an
+    ordered dump — by :func:`set_local_replay`.  Both are exact
+    replays of the per-block walk the paper describes; the test suite
+    keeps that walk as their oracle.
+    """
 
     def __init__(self, video: VideoConfig, mach: MachConfig,
                  scheme: SchemeConfig, line_bytes: int = 64,
                  unbounded_mach: bool = False,
                  fault_plan: Optional[FaultPlan] = None,
-                 vectorized: bool = True,
                  ordered_dump: bool = False) -> None:
         self.video = video
         self.mach_config = mach
         self.scheme = scheme
         self.line_bytes = line_bytes
-        #: Classify frames with the batched paths: the closed-form SoA
-        #: kernel for clean frames, the set-local replay for frames
-        #: with injected collisions, silent CRC16 disagreements or an
-        #: ordered dump.  ``False`` forces the scalar per-block walk,
-        #: the reference both are tested against; with CO-MACH on, a
-        #: frame with a detected collision also takes that walk.
-        self.vectorized = vectorized
         #: The caller consumes the frozen dump's *iteration order* (the
         #: eager MACH-buffer prefetch).  The SoA kernel emits the dump
-        #: in recency order; the replay reproduces the scalar (set,
-        #: way-slot) order, so such engines classify every frame with it.
+        #: in recency order; the replay reproduces the (set, way-slot)
+        #: order, so such engines classify every frame with it.
         self.ordered_dump = ordered_dump
         self.ring: Optional[MachRing] = (
             MachRing(mach, unbounded=unbounded_mach)
@@ -338,38 +386,28 @@ class WritebackEngine:
     def _process_mach(self, frame: DecodedFrame,
                       slot_base: int) -> WritebackResult:
         assert self.ring is not None
-        ring = self.ring
         tags, aux = self._digest_frame(frame)
         dcc_sizes = self._content.sizes if self.scheme.dcc else None
-        if not self.vectorized:
-            return self._process_mach_scalar(
-                frame, slot_base, tags, aux, dcc_sizes)
-        ring.ensure_idle()
-        found, addresses, mismatch = ring.lookup_batch(tags, aux)
-        consistent = not mismatch.any() and self._aux_consistent(tags, aux)
-        if not consistent and self.mach_config.co_mach:
-            # A detected collision walks older frames and spills to the
-            # CO-MACH side cache, which only the scalar walk models.
-            return self._process_mach_scalar(
-                frame, slot_base, tags, aux, dcc_sizes)
+        found, addresses, collisions = self.ring.lookup_batch(tags, aux)
         forced = (self._fault_plan.digest_collision_mask(
             frame.index, frame.n_blocks)
             if self._fault_plan is not None else None)
-        if (consistent and not self.ordered_dump
-                and (forced is None or not forced.any())):
+        if (not self.ordered_dump and not collisions.any()
+                and (forced is None or not forced.any())
+                and self._aux_consistent(tags, aux)):
             return self._process_mach_kernel(
                 frame, slot_base, tags, aux, dcc_sizes, found, addresses)
         return self._process_mach_replay(
             frame, slot_base, tags, aux, dcc_sizes, found, addresses,
-            mismatch, forced)
+            collisions, forced)
 
     @staticmethod
     def _aux_consistent(tags: np.ndarray, aux: np.ndarray) -> bool:
         """True when no digest appears with two different CRC16 auxes.
 
-        A natural CRC32 collision inside the frame makes the scalar
-        loop take a collision path: a silent match (counted by the
-        replay) or, with CO-MACH, a spill (the scalar walk).
+        A natural CRC32 collision inside the frame is a silent match
+        or, with CO-MACH, a detected collision and a side-cache spill,
+        which only the replay models.
         """
         if not aux.any():
             return True
@@ -390,70 +428,6 @@ class WritebackEngine:
         data_base = bases_base + bases_bytes
         return table_base, bases_base, data_base
 
-    def _process_mach_scalar(self, frame: DecodedFrame, slot_base: int,
-                             tags: np.ndarray, aux: np.ndarray,
-                             dcc_sizes: Optional[np.ndarray]) -> WritebackResult:
-        """Reference per-block walk (also the fault/collision path)."""
-        assert self.ring is not None
-        ring = self.ring
-        n = frame.n_blocks
-        block_bytes = frame.block_bytes
-        table_base, bases_base, data_base = self._layout_bases(
-            frame, slot_base)
-
-        kinds = np.empty(n, dtype=np.uint8)
-        pointers = np.empty(n, dtype=np.int64)
-        digests_out = np.zeros(n, dtype=np.uint64)
-
-        before = (ring.stats.intra, ring.stats.inter, ring.stats.none)
-        ring.begin_frame(frame.index)
-        cursor = data_base
-        digest_mode = self._digest_layout is LayoutMode.POINTER_DIGEST
-        fault_plan = self._fault_plan
-        for i in range(n):
-            digest = int(tags[i])
-            kind, address = ring.lookup(digest, int(aux[i]))
-            if (kind is not MatchKind.NONE and fault_plan is not None
-                    and fault_plan.digest_collision(frame.index, i)):
-                # Injected collision: the digest matched but the bytes
-                # would not have.
-                ring.stats.injected_collisions += 1
-                if self._verify:
-                    ring.stats.fallback_writes += 1
-                    kind, address = MatchKind.NONE, None
-                else:
-                    ring.stats.silent_collisions += 1
-            ring.stats.record(kind, digest)
-            if kind is MatchKind.NONE:
-                kinds[i] = int(RecordKind.STORED)
-                pointers[i] = cursor
-                ring.insert(digest, cursor, int(aux[i]))
-                cursor += (int(dcc_sizes[i]) if dcc_sizes is not None
-                           else block_bytes)
-            elif kind is MatchKind.INTRA or not digest_mode:
-                kinds[i] = int(RecordKind.POINTER)
-                pointers[i] = address
-            else:
-                kinds[i] = int(RecordKind.DIGEST)
-                pointers[i] = address  # kept for MACH-buffer miss fallback
-                digests_out[i] = digest
-            # Only stored (unique) blocks enter the frame's MACH —
-            # "the decoder only needs to write the unique content and
-            # the pointers" (Sec. 1).  Recurring content therefore keeps
-            # matching in *older* frames' MACHs (inter), which is what
-            # makes the digest-indexed share of Fig. 10d large.
-        dump = ring.end_frame()
-        after = (ring.stats.intra, ring.stats.inter, ring.stats.none)
-        matches = FrameMatches(
-            intra=after[0] - before[0],
-            inter=after[1] - before[1],
-            none=after[2] - before[2],
-        )
-        return self._finish_mach(
-            frame, kinds, pointers, digests_out,
-            table_base, bases_base, data_base,
-            cursor - data_base, dump, matches)
-
     def _process_mach_kernel(self, frame: DecodedFrame, slot_base: int,
                              tags: np.ndarray, aux: np.ndarray,
                              dcc_sizes: Optional[np.ndarray],
@@ -468,7 +442,7 @@ class WritebackEngine:
         INTER (a frozen digest can never also be resident in the
         current MACH), and the remaining blocks replay an LRU touch
         sequence that :func:`repro.core.soa.lru_touch_classify` solves
-        in closed form — bit-identical to the scalar walk.
+        in closed form — bit-identical to the per-block walk.
         """
         assert self.ring is not None
         mach = self.mach_config
@@ -500,20 +474,17 @@ class WritebackEngine:
                              tags: np.ndarray, aux: np.ndarray,
                              dcc_sizes: Optional[np.ndarray],
                              found: np.ndarray, addresses: np.ndarray,
-                             mismatch: np.ndarray,
+                             collisions: np.ndarray,
                              forced: Optional[np.ndarray]
                              ) -> WritebackResult:
         """Classify a frame with :func:`set_local_replay`.
 
         Handles what the SoA kernel does not: injected collisions
-        (``forced``), silent CRC16 disagreements, and the scalar dump
-        order.  Stats the scalar walk counts per block — injected and
-        silent collisions, fallback writes — are counted from the
-        replay's arrays.
-
-        Preconditions (checked by the dispatcher): CO-MACH is off, or
-        no CRC16 aux disagrees against the frozen ring or within the
-        frame (its side cache then stays empty).
+        (``forced``), CRC16 disagreements — silent matches, or with
+        CO-MACH detected collisions and the side cache — and the
+        (set, way-slot) dump order.  Stats the walk counts per block
+        are counted from the replay's arrays; ``collisions`` are the
+        frozen ring's, charged to the blocks whose lookup reached it.
         """
         assert self.ring is not None
         ring = self.ring
@@ -526,7 +497,15 @@ class WritebackEngine:
         store = forced if self._verify else np.zeros(n, dtype=bool)
         n_sets, ways = ((1, n) if ring.unbounded
                         else (mach.sets_per_mach, mach.ways))
-        replay = set_local_replay(tags, found, store, n_sets, ways)
+        side_sets = 0
+        if mach.co_mach and not ring.unbounded:
+            # CO-MACH side cache: co_mach_entries / ways sets, rounded
+            # down to a power of two.
+            side_sets = 1 << (
+                max(1, mach.co_mach_entries // ways).bit_length() - 1)
+        replay = set_local_replay(
+            tags, found, store, n_sets, ways,
+            aux if mach.co_mach else None, side_sets)
         hits = replay.hits
         is_hit = np.zeros(n, dtype=bool)
         is_hit[hits] = True
@@ -538,9 +517,13 @@ class WritebackEngine:
             stats.fallback_writes += injected
         else:
             stats.silent_collisions += injected
-        stats.silent_collisions += (
-            int(np.count_nonzero(aux[replay.providers] != aux[hits]))
-            + int(np.count_nonzero(mismatch & ~is_hit)))
+        ring_collisions = int(collisions[~is_hit].sum())
+        if mach.co_mach:
+            stats.detected_collisions += replay.detected + ring_collisions
+            stats.co_mach_hits += replay.side_hits
+        else:
+            stats.silent_collisions += ring_collisions + int(
+                np.count_nonzero(aux[replay.providers] != aux[hits]))
         kept = ~store[hits]
         return self._commit_frame(
             frame, slot_base, tags, aux, dcc_sizes, addresses,
@@ -592,30 +575,11 @@ class WritebackEngine:
         else:
             kinds[inter_idx] = int(RecordKind.POINTER)
 
-        # Stats, reproducing the scalar loop's Counter insertion order
-        # (first match occurrence in block order).
         n_intra = len(intra_idx)
         n_inter = len(inter_idx)
-        matched = np.zeros(n, dtype=bool)
-        matched[inter_idx] = True
-        matched[intra_idx] = True
-        matched_tags = tags[matched]
-        if len(matched_tags):
-            order = np.argsort(matched_tags, kind="stable")
-            sorted_tags = matched_tags[order]
-            starts = np.flatnonzero(np.concatenate(
-                ([True], sorted_tags[1:] != sorted_tags[:-1])))
-            counts = np.diff(np.append(starts, len(sorted_tags)))
-            # The stable sort keeps block order within equal tags, so
-            # order[starts] is each tag's first match occurrence.
-            first_order = np.argsort(order[starts])
-            matched_digests = sorted_tags[starts[first_order]].tolist()
-            matched_counts = counts[first_order].tolist()
-        else:
-            matched_digests, matched_counts = [], []
         ring.stats.record_batch(
-            n_intra, n_inter, len(stored_idx), matched_digests,
-            matched_counts)
+            n_intra, n_inter, len(stored_idx),
+            tags[np.concatenate((intra_idx, inter_idx))])
 
         table = {
             int(digest): (int(address), int(auxv))

@@ -16,6 +16,15 @@ class ConfigError(ReproError):
     """A configuration value is inconsistent or out of range."""
 
 
+class InputError(ConfigError):
+    """A user-named input file is missing, unreadable or malformed."""
+
+    def __init__(self, path: object, reason: object) -> None:
+        if isinstance(reason, OSError) and reason.strerror:
+            reason = reason.strerror
+        super().__init__(f"cannot read {path}: {reason}")
+
+
 class GeometryError(ReproError):
     """Frame/block geometry does not divide evenly or mismatches."""
 

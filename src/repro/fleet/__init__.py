@@ -45,6 +45,7 @@ from .population import (
     RegionSpec,
     SessionChunk,
     default_population,
+    load_population_spec,
 )
 from .sketches import (
     HistogramSketch,
@@ -93,6 +94,7 @@ __all__ = [
     "calibrate",
     "cohort_keys",
     "default_population",
+    "load_population_spec",
     "execute_stripe",
     "hash_u01_array",
     "hash_u64_array",

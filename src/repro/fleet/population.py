@@ -40,8 +40,8 @@ from ..config import (
     SchemeConfig,
     SimulationConfig,
 )
-from ..errors import ConfigError
-from ..jsonable import Jsonable, jsonable
+from ..errors import ConfigError, InputError
+from ..jsonable import Jsonable, jsonable, unknown_key
 from ..units import MBPS, W
 from ..video import workload
 from .sketches import hash_u01_array
@@ -356,6 +356,30 @@ class PopulationModel:
                             cell=cell, title=title,
                             duration_seconds=duration,
                             bandwidth=bandwidth, start_seconds=start_s)
+
+
+def load_population_spec(path: str) -> PopulationSpec:
+    """Read a population spec JSON file (``repro fleet --spec``).
+
+    Every key must name a field, at any depth: decoding alone would
+    give a misspelt key's field its default and run another population.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise InputError(path, exc) from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: a population spec is a JSON object")
+    unknown = unknown_key(PopulationSpec, data)
+    if unknown is not None:
+        raise ConfigError(
+            f"{path}: population spec has no field {unknown!r}")
+    try:
+        return PopulationSpec.from_jsonable(data)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(
+            f"{path}: malformed population spec ({exc!r})") from exc
 
 
 def default_population() -> PopulationSpec:

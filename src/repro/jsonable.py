@@ -45,6 +45,7 @@ from typing import (
     Callable,
     Dict,
     List,
+    Optional,
     Tuple,
     Type,
     TypeVar,
@@ -77,6 +78,40 @@ def decode(cls: Type[T], data: Any) -> T:
     """Rebuild a ``cls`` instance from :func:`encode`'s output."""
     result: T = _class_decoder(cls)(data)
     return result
+
+
+def unknown_key(tp: Any, data: Any, path: str = "") -> Optional[str]:
+    """Path of the first key in ``data`` that ``tp`` does not declare.
+
+    Walks nested dataclasses, sequences, optionals and dict values;
+    ``None`` when every key names a field.  :func:`decode` ignores
+    unknown keys, so a hand-written payload is checked first: a
+    misspelt field would otherwise silently take its default.
+    """
+    origin = get_origin(tp)
+    children: List[Tuple[Any, Any, str]] = []
+    if dataclasses.is_dataclass(tp) and isinstance(data, dict):
+        hints = {f.name: hint for f, hint in _fields(tp)}
+        for key, value in data.items():
+            where = f"{path}.{key}" if path else str(key)
+            if key not in hints:
+                return where
+            children.append((hints[key], value, where))
+    elif origin is Union and data is not None:
+        children.append((_optional_item(tp), data, path))
+    elif origin in (list, tuple) and isinstance(data, list):
+        item = _sequence_item(tp)
+        children.extend((item, value, f"{path}[{i}]")
+                        for i, value in enumerate(data))
+    elif origin is dict and isinstance(data, dict):
+        value_tp = get_args(tp)[1]
+        children.extend((value_tp, value, f"{path}.{key}")
+                        for key, value in data.items())
+    for child_tp, value, where in children:
+        found = unknown_key(child_tp, value, where)
+        if found is not None:
+            return found
+    return None
 
 
 class Jsonable:

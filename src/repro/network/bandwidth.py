@@ -27,7 +27,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, InputError
 
 
 @dataclass(frozen=True)
@@ -183,17 +183,24 @@ def load_trace(path: str, name: str | None = None) -> BandwidthTrace:
     """Load a two-column ``timestamp,bytes_per_sec`` trace file."""
     timestamps = []
     rates = []
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.replace(",", " ").split()
-            if len(parts) != 2:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected 'timestamp,bytes_per_sec'")
-            timestamps.append(float(parts[0]))
-            rates.append(float(parts[1]))
+    try:
+        with open(path) as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(path, exc) from exc
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        parts = text.replace(",", " ").split()
+        try:
+            timestamp, rate = (float(part) for part in parts)
+        except ValueError:
+            raise ConfigError(
+                f"{path}:{lineno}: expected 'timestamp,bytes_per_sec'"
+            ) from None
+        timestamps.append(timestamp)
+        rates.append(rate)
     if not timestamps:
         raise ConfigError(f"{path}: empty trace file")
     if timestamps[0] != 0.0:

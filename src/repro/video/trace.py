@@ -15,6 +15,7 @@ this package's own block codec.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
@@ -22,7 +23,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Union
 import numpy as np
 
 from ..config import VideoConfig
-from ..errors import GeometryError
+from ..errors import GeometryError, InputError
 from .block import split_blocks
 from .frame import DecodedFrame, FrameType
 
@@ -102,21 +103,28 @@ class FrameTrace:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FrameTrace":
-        """Read a trace written by :meth:`save`."""
-        with np.load(Path(path)) as data:
-            version = int(data["version"])
-            if version != TRACE_VERSION:
-                raise GeometryError(
-                    f"unsupported trace version {version} "
-                    f"(this build reads {TRACE_VERSION})")
-            width, height, block_size = (int(v) for v in data["geometry"])
-            return cls(
-                width=width, height=height, block_size=block_size,
-                blocks=data["blocks"],
-                frame_types=data["frame_types"],
-                complexity=data["complexity"],
-                encoded_bits=data["encoded_bits"],
-            )
+        """Read a trace written by :meth:`save`.
+
+        A missing, unreadable or malformed file raises
+        :class:`~repro.errors.InputError`.
+        """
+        try:
+            with np.load(Path(path)) as data:
+                version = int(data["version"])
+                geometry = data["geometry"]
+                arrays = {name: data[name] for name in (
+                    "blocks", "frame_types", "complexity", "encoded_bits")}
+        except OSError as exc:
+            raise InputError(path, exc) from exc
+        except (ValueError, KeyError, zipfile.BadZipFile) as exc:
+            raise InputError(path, "not a frame trace (.npz)") from exc
+        if version != TRACE_VERSION:
+            raise GeometryError(
+                f"unsupported trace version {version} "
+                f"(this build reads {TRACE_VERSION})")
+        width, height, block_size = (int(v) for v in geometry)
+        return cls(width=width, height=height, block_size=block_size,
+                   **arrays)
 
     # -- constructors ------------------------------------------------------------
 

@@ -72,6 +72,48 @@ class TestErrors:
         (["network", "--bandwidth", "-1"], "bandwidth must be positive"),
     ])
     def test_repro_error_is_one_line(self, capsys, argv, fragment):
+        self._assert_one_line_error(capsys, argv, fragment)
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["network", "--trace-file", "{missing}"], "No such file"),
+        (["fleet", "--spec", "{missing}"], "No such file"),
+        (["trace", "run", "{missing}"], "No such file"),
+        (["trace", "run", "{corrupt}"], "not a frame trace"),
+        (["fleet", "--spec", "{corrupt}"], "cannot read"),
+        (["fleet", "--spec", "{typo}"], "no field 'device_classess'"),
+        (["fleet", "--spec", "{bad}"], "no field 'bad'"),
+        (["fleet", "--spec", "{deep}"],
+         "no field 'regions[0].bandwidth[0].sigmaa'"),
+        (["fleet", "--spec", "{array}"], "is a JSON object"),
+        (["network", "--trace-file", "{badrow}"],
+         "badrow.csv:2: expected 'timestamp,bytes_per_sec'"),
+    ])
+    def test_bad_input_file_is_one_line(self, capsys, tmp_path, argv,
+                                        fragment):
+        """Missing, corrupt or misspelt user-named files are input
+        problems too, not tracebacks."""
+        files = {
+            "missing": tmp_path / "missing",
+            "corrupt": tmp_path / "corrupt.npz",
+            "typo": tmp_path / "typo.json",
+            "bad": tmp_path / "bad.json",
+            "deep": tmp_path / "deep.json",
+            "array": tmp_path / "array.json",
+            "badrow": tmp_path / "badrow.csv",
+        }
+        files["corrupt"].write_text("not a zip archive")
+        files["typo"].write_text('{"device_classess": []}')
+        files["bad"].write_text('{"bad": 1}')
+        files["array"].write_text("[1, 2]")
+        files["badrow"].write_text("0,1e6\n1,fast\n")
+        files["deep"].write_text(
+            '{"regions": [{"name": "r", "bandwidth": '
+            '[{"median": 1e6, "sigmaa": 0.5}]}]}')
+        argv = [arg.format(**files) for arg in argv]
+        self._assert_one_line_error(capsys, argv, fragment)
+
+    @staticmethod
+    def _assert_one_line_error(capsys, argv, fragment):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -62,7 +62,7 @@ from repro.fleet import (
     SupervisionReport,
 )
 from repro.fleet.population import SCHEMES_BY_NAME
-from repro.jsonable import Jsonable, decode, encode, jsonable
+from repro.jsonable import Jsonable, decode, encode, jsonable, unknown_key
 from repro.lint import Baseline, LintReport, Violation
 from repro.memory.controller import AccessStats
 from repro.realtime import ChaosResult, RegimeSLO, RealtimeResult
@@ -148,6 +148,14 @@ class TestTypeRules:
 
     def test_unknown_keys_are_ignored(self):
         assert decode(Leaf, {"x": 1.0, "gone": 5}) == Leaf(x=1.0)
+
+    def test_unknown_key_names_the_first_stray_key_at_any_depth(self):
+        assert unknown_key(Shape, encode(_shape())) is None
+        assert unknown_key(Leaf, {"x": 1.0, "gone": 5}) == "gone"
+        payload = encode(_shape())
+        payload["leaves"]["k"]["nn"] = 1
+        assert unknown_key(Shape, payload) == "leaves.k.nn"
+        assert unknown_key(Shape, {"name": "s", "oops": 1, "zz": 2}) == "oops"
 
     def test_methods_live_in_the_class_dict(self):
         assert "to_jsonable" in Shape.__dict__
@@ -497,6 +505,7 @@ def test_round_trip_is_byte_identical(name, data):
     payload = original.to_jsonable()
     if name not in EXPLICIT:
         assert list(payload) == list(_fields(original))
+        assert unknown_key(type(original), payload) is None
     text = json.dumps(payload)
     rebuilt = decode_fn(json.loads(text))
     assert json.dumps(rebuilt.to_jsonable()) == text

@@ -1,18 +1,20 @@
-"""Tests for the MACH content cache (ring, freezing, CO-MACH)."""
+"""Tests for the MACH content cache (ring, freezing, CO-MACH).
+
+The per-frame MACH and the block-at-a-time ring lookups are the write
+path's oracle (:mod:`tests.mach_oracle`); these tests pin that oracle
+to the paper's MACH behaviour.
+"""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.config import MachConfig, VideoConfig
 from repro.errors import SchedulingError
-from repro.core.mach import (
-    FrameMach,
-    MachRing,
-    MachStats,
-    MatchKind,
-    split_digest,
-)
+from repro.core.mach import MachStats, split_digest
+
+from .mach_oracle import FrameMach, MatchKind, OracleRing, record
 
 
 def small_mach(**overrides) -> MachConfig:
@@ -87,7 +89,7 @@ class TestCoMach:
 
 class TestMachRing:
     def test_intra_before_inter(self):
-        ring = MachRing(small_mach())
+        ring = OracleRing(small_mach())
         ring.begin_frame(0)
         ring.insert(7, address=100)
         ring.end_frame()
@@ -98,7 +100,7 @@ class TestMachRing:
         assert address == 200
 
     def test_inter_found_in_frozen(self):
-        ring = MachRing(small_mach())
+        ring = OracleRing(small_mach())
         ring.begin_frame(0)
         ring.insert(7, address=100)
         ring.end_frame()
@@ -108,7 +110,7 @@ class TestMachRing:
         assert address == 100
 
     def test_newest_frozen_wins(self):
-        ring = MachRing(small_mach())
+        ring = OracleRing(small_mach())
         for frame, address in ((0, 100), (1, 200)):
             ring.begin_frame(frame)
             ring.insert(7, address=address)
@@ -120,7 +122,7 @@ class TestMachRing:
 
     def test_ring_window_expires(self):
         config = small_mach(num_machs=2)  # current + 1 frozen
-        ring = MachRing(config)
+        ring = OracleRing(config)
         ring.begin_frame(0)
         ring.insert(7, address=100)
         ring.end_frame()
@@ -132,22 +134,22 @@ class TestMachRing:
         assert kind is MatchKind.NONE
 
     def test_stats_recording(self):
-        ring = MachRing(small_mach())
+        ring = OracleRing(small_mach())
         ring.begin_frame(0)
-        ring.stats.record(MatchKind.NONE, 5)
-        ring.stats.record(MatchKind.INTRA, 5)
-        ring.stats.record(MatchKind.INTER, 5)
+        record(ring.stats, MatchKind.NONE, 5)
+        record(ring.stats, MatchKind.INTRA, 5)
+        record(ring.stats, MatchKind.INTER, 5)
         assert ring.stats.total == 3
         assert ring.stats.match_rate == pytest.approx(2 / 3)
 
     def test_begin_twice_raises(self):
-        ring = MachRing(small_mach())
+        ring = OracleRing(small_mach())
         ring.begin_frame(0)
         with pytest.raises(SchedulingError):
             ring.begin_frame(1)
 
     def test_lookup_without_frame_raises(self):
-        ring = MachRing(small_mach())
+        ring = OracleRing(small_mach())
         with pytest.raises(SchedulingError):
             ring.lookup(1)
 
@@ -155,10 +157,7 @@ class TestMachRing:
 class TestMachStats:
     def test_top_match_share(self):
         stats = MachStats()
-        for _ in range(8):
-            stats.record(MatchKind.INTRA, 1)
-        for _ in range(2):
-            stats.record(MatchKind.INTER, 2)
+        stats.record_batch(8, 2, 0, np.array([1] * 8 + [2] * 2))
         assert stats.top_match_share(1) == pytest.approx(0.8)
         assert stats.top_match_share(2) == pytest.approx(1.0)
 

@@ -7,9 +7,10 @@ write engine) is accepted only on exact equivalence: Hypothesis draws
 random touch sequences, frames, and cache shapes, and every drawn case
 must reproduce the scalar replay byte for byte — hits, providers,
 residents, stats, layouts, and full :class:`RunResult` payloads.
-The set-local replay that handles faulted and eager-buffer frames is
-held to the same standard against the
-:class:`~repro.cache.SetAssociativeCache` walk.
+The write engine's oracle is the per-block MACH walk in
+:mod:`tests.mach_oracle`; the set-local replay, CO-MACH side cache
+included, is also held to :class:`~tests.mach_oracle.FrameMach`
+directly.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.writeback
 from repro import simulate
-from repro.cache import SetAssociativeCache
 from repro.config import (
     BASELINE,
     GAB,
@@ -33,12 +34,14 @@ from repro.config import (
     RACE_TO_SLEEP,
     DramConfig,
     FaultConfig,
+    MachConfig,
     NetworkConfig,
     RealtimeConfig,
     SimulationConfig,
     ThermalConfig,
     VideoConfig,
 )
+from repro.core.mach import MachStats
 from repro.core.soa import count_smaller_left, lru_touch_classify
 from repro.core.writeback import WritebackEngine, set_local_replay
 from repro.faults import FaultPlan
@@ -51,6 +54,16 @@ from repro.memory.controller import MemoryController
 from repro.memory.rowbuffer import RowBufferModel
 from repro.video.synthesis import SyntheticVideo
 from repro.video.workloads import workload
+
+from .mach_oracle import (
+    CollidingEngine,
+    CollidingWalk,
+    FrameMach,
+    MatchKind,
+    OracleRing,
+    ScalarWalkEngine,
+    substitute_walk,
+)
 
 _TINY = SimulationConfig(video=VideoConfig(width=64, height=32))
 
@@ -69,12 +82,10 @@ def _faults(collisions, seed=0):
 
 
 def _assert_stats_equal(got, want):
-    """Every MachStats field, plus the match counter's insertion order."""
+    """Every MachStats field; the match counter compares as a multiset."""
     for field in dataclasses.fields(want):
         assert getattr(got, field.name) == getattr(want, field.name), (
             field.name)
-    assert list(got.match_counter.items()) == list(
-        want.match_counter.items())
 
 
 def _assert_equal(a, b, path=""):
@@ -159,55 +170,75 @@ class TestLruTouchClassify:
         assert got.resident_rank.tolist() == res_rank
 
 
-def _replay_reference(keys, found, store, n_sets, ways, unbounded):
-    """The scalar walk's current-MACH side, on a real cache object."""
-    cache = {} if unbounded else SetAssociativeCache(sets=n_sets, ways=ways)
+def _replay_reference(keys, auxes, found, store, n_sets, ways, unbounded,
+                      co_mach, co_mach_entries):
+    """The walk's current-MACH side, on the oracle's :class:`FrameMach`
+    (a real set-associative cache and CO-MACH side cache).  Each stored
+    block's address is its own index."""
+    config = MachConfig(entries_per_mach=n_sets * ways, ways=ways,
+                        co_mach=co_mach, co_mach_entries=co_mach_entries)
+    mach = FrameMach(config, 0, unbounded=unbounded)
+    stats = MachStats()
     hits, providers, stored = [], [], []
-    for i, (key, in_ring, forced) in enumerate(zip(keys, found, store)):
-        value = cache.get(key) if unbounded else cache.lookup(key)[1]
-        if value is not None:
+    for i, (key, aux, in_ring, forced) in enumerate(
+            zip(keys, auxes, found, store)):
+        provider = mach.lookup(key, aux, stats)
+        if provider is not None:
             hits.append(i)
-            providers.append(value)
+            providers.append(provider)
             if not forced:
                 continue
         elif in_ring and not forced:
             continue
         stored.append(i)
-        if unbounded:
-            cache[key] = i
-        else:
-            cache.insert(key, i)
-    resident = list(cache.items())
-    return hits, providers, stored, resident
+        mach.insert(key, i, aux)
+    resident = [(key, value[0]) for key, value in mach.freeze().table.items()]
+    return hits, providers, stored, resident, stats
 
 
 class TestSetLocalReplay:
-    @given(touches=st.lists(st.tuples(st.integers(0, 40), st.booleans()),
+    @given(touches=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 2),
+                                      st.booleans()),
                             min_size=0, max_size=160),
-           in_ring=st.sets(st.integers(0, 40)),
+           in_ring=st.sets(st.tuples(st.integers(0, 40), st.integers(0, 2))),
            n_sets=st.sampled_from([1, 2, 4, 8]),
            ways=st.integers(1, 5),
-           unbounded=st.booleans())
-    @settings(max_examples=80, deadline=None)
+           unbounded=st.booleans(),
+           co_mach=st.booleans(),
+           co_mach_entries=st.sampled_from([1, 4, 8, 16]))
+    @settings(max_examples=120, deadline=None)
     def test_matches_set_associative_walk(self, touches, in_ring, n_sets,
-                                          ways, unbounded):
+                                          ways, unbounded, co_mach,
+                                          co_mach_entries):
         keys = np.asarray([t[0] for t in touches], dtype=np.int64)
+        auxes = np.asarray([t[1] for t in touches], dtype=np.int64)
         # The frozen ring is fixed while a frame decodes, so "found" is
-        # a property of the key.
-        found = np.isin(keys, list(in_ring))
-        store = np.asarray([t[1] for t in touches], dtype=bool)
+        # a property of the (key, aux) pair with CO-MACH, of the key
+        # without it.
+        if co_mach:
+            found = np.asarray([(k, a) in in_ring for k, a, _ in touches],
+                               dtype=bool)
+        else:
+            found = np.isin(keys, [k for k, _ in in_ring])
+        store = np.asarray([t[2] for t in touches], dtype=bool)
+        side_sets = 0
+        if co_mach and not unbounded:
+            side_sets = 1 << (max(1, co_mach_entries // ways).bit_length() - 1)
         # An unbounded MACH is one set with a way per touch.
         got = set_local_replay(
-            keys, found, store, *((1, len(keys)) if unbounded
-                                  else (n_sets, ways)))
-        hits, providers, stored, resident = _replay_reference(
-            keys.tolist(), found.tolist(), store.tolist(), n_sets, ways,
-            unbounded)
+            keys, found, store,
+            *((1, len(keys)) if unbounded else (n_sets, ways)),
+            auxes if co_mach else None, side_sets)
+        hits, providers, stored, resident, stats = _replay_reference(
+            keys.tolist(), auxes.tolist(), found.tolist(), store.tolist(),
+            n_sets, ways, unbounded, co_mach, co_mach_entries)
         assert got.hits.tolist() == hits
         assert got.providers.tolist() == providers
         assert got.stored.tolist() == stored
         # Resident set and (set, way-slot) order, with their providers.
         assert [(int(keys[b]), int(b)) for b in got.resident] == resident
+        assert got.detected == stats.detected_collisions
+        assert got.side_hits == stats.co_mach_hits
 
     @given(keys=st.lists(st.integers(0, 60), min_size=0, max_size=160),
            n_sets=st.sampled_from([1, 2, 4, 8]),
@@ -224,6 +255,43 @@ class TestSetLocalReplay:
         assert got.providers.tolist() == cls.provider[cls.hits].tolist()
         assert sorted(got.resident.tolist()) == sorted(
             cls.resident_touch.tolist())
+
+
+class TestLookupBatch:
+    @given(frames=st.lists(
+        st.dictionaries(st.integers(0, 12), st.integers(0, 2), max_size=10),
+        min_size=0, max_size=5),
+        queries=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 2)),
+                         min_size=0, max_size=40),
+        num_machs=st.integers(1, 4),
+        co_mach=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_frozen_ring_walk(self, frames, queries, num_machs,
+                                      co_mach):
+        """``found``/``addresses``/``collisions`` are what the walk
+        through the frozen ring returns and counts."""
+        config = MachConfig(num_machs=num_machs, entries_per_mach=64,
+                            ways=4, co_mach=co_mach)
+        ring = OracleRing(config, unbounded=True)
+        for index, entries in enumerate(frames):
+            ring.begin_frame(index)
+            for digest, aux in entries.items():
+                ring.insert(digest, 1000 * index + digest, aux)
+            ring.end_frame()
+        digests = np.asarray([q[0] for q in queries], dtype=np.int64)
+        auxes = np.asarray([q[1] for q in queries], dtype=np.int64)
+        found, addresses, collisions = ring.lookup_batch(digests, auxes)
+        ring.begin_frame(len(frames))  # an empty current MACH
+        for i, (digest, aux) in enumerate(queries):
+            before = (ring.stats.detected_collisions
+                      + ring.stats.silent_collisions)
+            kind, address = ring.lookup(digest, aux)
+            assert found[i] == (kind is MatchKind.INTER)
+            if found[i]:
+                assert addresses[i] == address
+            assert collisions[i] == (ring.stats.detected_collisions
+                                     + ring.stats.silent_collisions
+                                     - before)
 
 
 class TestCrcBlocks:
@@ -302,16 +370,6 @@ def _random_stream(cfg, profile_key, n_frames, seed):
         complexity_sigma=cfg.calibration.complexity_sigma))
 
 
-class _CollidingEngine(WritebackEngine):
-    """Digests cut to 10 bits and CRC16 auxes to 2: CRC32 matches with
-    disagreeing auxes (silent matches, or CO-MACH detections) become
-    common instead of astronomically rare."""
-
-    def _digest_frame(self, frame):
-        tags, aux = super()._digest_frame(frame)
-        return tags & 0x3FF, aux & 0x3
-
-
 class TestWritebackEquivalence:
     @given(scheme_name=st.sampled_from(sorted(_MACH_SCHEMES)),
            unbounded=st.booleans(),
@@ -329,14 +387,14 @@ class TestWritebackEquivalence:
         cfg = _TINY
         mach = dataclasses.replace(cfg.mach, co_mach=co_mach)
         plan = FaultPlan.from_config(_faults(collisions, seed))
-        engine = _CollidingEngine if narrow else WritebackEngine
+        engine, walk = ((CollidingEngine, CollidingWalk) if narrow
+                        else (WritebackEngine, ScalarWalkEngine))
         stream = _random_stream(cfg, profile_key, 6, seed)
         fast = engine(cfg.video, mach, scheme, cfg.dram.line_bytes,
                       unbounded_mach=unbounded, fault_plan=plan,
-                      vectorized=True, ordered_dump=ordered)
-        slow = engine(cfg.video, mach, scheme, cfg.dram.line_bytes,
-                      unbounded_mach=unbounded, fault_plan=plan,
-                      vectorized=False)
+                      ordered_dump=ordered)
+        slow = walk(cfg.video, mach, scheme, cfg.dram.line_bytes,
+                    unbounded_mach=unbounded, fault_plan=plan)
         base = 32 * 1024 * 1024
         for i, frame in enumerate(stream):
             slot = base + (i % 3) * 4 * 1024 * 1024
@@ -356,7 +414,6 @@ class TestWritebackEquivalence:
                 assert dict(got.dump.table) == dict(want.dump.table)
         _assert_stats_equal(fast.ring.stats, slow.ring.stats)
 
-
     @pytest.mark.parametrize("scheme_name", sorted(_MACH_SCHEMES))
     def test_ordered_dump_keeps_scalar_order(self, scheme_name):
         """Clean frames included: an engine whose dump order is
@@ -365,8 +422,8 @@ class TestWritebackEquivalence:
         cfg = _TINY
         fast = WritebackEngine(cfg.video, cfg.mach, scheme,
                                cfg.dram.line_bytes, ordered_dump=True)
-        slow = WritebackEngine(cfg.video, cfg.mach, scheme,
-                               cfg.dram.line_bytes, vectorized=False)
+        slow = ScalarWalkEngine(cfg.video, cfg.mach, scheme,
+                                cfg.dram.line_bytes)
         for i, frame in enumerate(_random_stream(cfg, "V8", 6, 0)):
             slot = 32 * 1024 * 1024 + (i % 3) * 4 * 1024 * 1024
             got = fast.process_frame(frame, slot).dump
@@ -379,10 +436,11 @@ class TestPipelineEquivalence:
            buffer_policy=st.sampled_from(["lazy", "eager"]),
            collisions=st.sampled_from(_COLLISIONS),
            unbounded=st.booleans(),
+           co_mach=st.booleans(),
            seed=st.integers(0, 3))
     @settings(max_examples=16, deadline=None)
     def test_run_result_identical(self, scheme_name, buffer_policy,
-                                  collisions, unbounded, seed):
+                                  collisions, unbounded, co_mach, seed):
         """Eager runs take the set-local replay, faulted ones too.
 
         At simulated resolutions the MACH buffer is scaled to hold the
@@ -390,19 +448,22 @@ class TestPipelineEquivalence:
         engine test above checks that order directly.
         """
         scheme = _MACH_SCHEMES[scheme_name]
-        config = dataclasses.replace(_TINY, faults=_faults(collisions, seed))
+        config = dataclasses.replace(
+            _TINY, faults=_faults(collisions, seed),
+            mach=dataclasses.replace(_TINY.mach, co_mach=co_mach))
         kwargs = dict(n_frames=12, config=config, seed=seed,
                       buffer_policy=buffer_policy, unbounded_mach=unbounded)
-        fast = simulate(workload("V8"), scheme, vectorized=True, **kwargs)
-        slow = simulate(workload("V8"), scheme, vectorized=False, **kwargs)
+        fast = simulate(workload("V8"), scheme, **kwargs)
+        with substitute_walk():
+            slow = simulate(workload("V8"), scheme, **kwargs)
         _assert_equal(fast, slow, "RunResult")
         assert fast.to_jsonable() == slow.to_jsonable()
 
 
 class TestWritePathDispatch:
-    """With ``vectorized=True`` the scalar walk is an oracle only: no
-    impaired configuration reaches it (CO-MACH frames with a detected
-    collision are the one remaining fallback)."""
+    """Every MACH frame is classified in one batch: by the SoA kernel
+    (:func:`lru_touch_classify`) or the set-local replay — impaired
+    configurations and CO-MACH collisions included."""
 
     _FRAMES = 24
 
@@ -432,23 +493,56 @@ class TestWritePathDispatch:
             yield lambda s=scheme: realtime_playback(
                 s, realtime, n_frames=self._FRAMES, profile=video)
 
-    def test_no_impaired_config_reaches_scalar_walk(self, monkeypatch):
-        replayed = []
+    @staticmethod
+    def _count_paths(monkeypatch):
+        """Count MACH frames, and the calls of each batched classifier."""
+        calls = {"frames": [], "kernel": 0, "replay": []}
+        process = WritebackEngine._process_mach
+        classify = repro.core.writeback.lru_touch_classify
+        replay = WritebackEngine._process_mach_replay
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("scalar write path reached")
+        def counting_process(engine, frame, *args):
+            calls["frames"].append(frame.index)
+            return process(engine, frame, *args)
 
-        original = WritebackEngine._process_mach_replay
+        def counting_classify(*args):
+            calls["kernel"] += 1
+            return classify(*args)
 
-        def counting(engine, frame, *args):
-            replayed.append(frame.index)
-            return original(engine, frame, *args)
+        def counting_replay(engine, frame, *args):
+            calls["replay"].append(frame.index)
+            return replay(engine, frame, *args)
 
-        monkeypatch.setattr(WritebackEngine, "_process_mach_scalar",
-                            forbidden)
+        monkeypatch.setattr(WritebackEngine, "_process_mach",
+                            counting_process)
+        monkeypatch.setattr(repro.core.writeback, "lru_touch_classify",
+                            counting_classify)
         monkeypatch.setattr(WritebackEngine, "_process_mach_replay",
-                            counting)
+                            counting_replay)
+        return calls
+
+    def test_no_impaired_config_reaches_scalar_walk(self, monkeypatch):
+        calls = self._count_paths(monkeypatch)
         for run in self._impaired_runs():
             run()
-        # Faulted and eager frames really took the replay.
-        assert replayed
+        # Faulted and eager frames really took the replay, and every
+        # MACH frame took one of the two batched classifiers (the
+        # unbounded oracle MACH, which needs neither, is not run here).
+        assert calls["replay"]
+        assert calls["kernel"] + len(calls["replay"]) == len(calls["frames"])
+
+    @pytest.mark.parametrize("unbounded", [False, True])
+    def test_co_mach_collisions_take_replay(self, monkeypatch, unbounded):
+        calls = self._count_paths(monkeypatch)
+        cfg = _TINY
+        mach = dataclasses.replace(cfg.mach, co_mach=True)
+        engine = CollidingEngine(cfg.video, mach, GAB, cfg.dram.line_bytes,
+                                  unbounded_mach=unbounded)
+        collided = []
+        for i, frame in enumerate(_random_stream(cfg, "V8", 8, 0)):
+            before = engine.stats.detected_collisions
+            engine.process_frame(frame, (32 + 4 * (i % 3)) << 20)
+            if engine.stats.detected_collisions > before:
+                collided.append(frame.index)
+        assert collided
+        assert set(collided) <= set(calls["replay"])
