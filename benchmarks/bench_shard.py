@@ -81,8 +81,7 @@ def _smoke_spec() -> PopulationSpec:
 
 def _supervisor(**overrides: object) -> SupervisorConfig:
     base: Dict[str, object] = dict(
-        workers=2, lease_seconds=2.0, heartbeat_seconds=0.15,
-        max_retries=6, backoff_base=0.02, backoff_cap=0.25,
+        workers=2, lease_seconds=2.0, max_retries=6,
         speculation_min_seconds=0.3)
     base.update(overrides)
     return SupervisorConfig(**base)  # type: ignore[arg-type]
@@ -123,8 +122,7 @@ def _chaos(spec: PopulationSpec, calibration: FleetCalibration,
     chaos = run_fleet_supervised(
         spec, sessions, seed=BENCH_SEED, shards=shards,
         calibration=calibration, faults=faults,
-        supervisor=_supervisor(lease_seconds=1.0,
-                               heartbeat_seconds=0.1))
+        supervisor=_supervisor(lease_seconds=1.0))
     identical = (json.dumps(serial.to_jsonable(), sort_keys=True)
                  == json.dumps(chaos.result.to_jsonable(),
                                sort_keys=True))
@@ -148,8 +146,6 @@ def _speculation(spec: PopulationSpec, calibration: FleetCalibration,
             contention=False, calibration=calibration, faults=slow,
             supervisor=_supervisor(lease_seconds=4.0,
                                    speculate=speculate,
-                                   speculation_factor=3.0,
-                                   speculation_min_completed=2,
                                    speculation_min_seconds=0.4))
 
     baseline = run(False)

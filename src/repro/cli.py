@@ -322,6 +322,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         run_fleet,
         run_fleet_supervised,
     )
+    from .fleet.engine import check_fleet_args
 
     if args.spec:
         spec = load_population_spec(args.spec)
@@ -345,6 +346,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         spec = default_population()
     sessions = min(args.sessions, 2000) if args.smoke else args.sessions
     shards = max(args.shards, 4) if args.chaos else args.shards
+    # Refuse bad arguments before the (seconds-long) calibration.
+    check_fleet_args(sessions, shards)
+    supervisor = SupervisorConfig(
+        workers=args.workers if args.workers is not None else 2,
+        lease_seconds=1.0, max_retries=6, speculation_min_seconds=0.3)
 
     def status(line: str) -> None:
         print(f"  {line} ...", file=sys.stderr)
@@ -376,11 +382,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             crash_rate=0.25, stall_rate=0.1, corrupt_rate=0.2,
             slow_rate=0.1, slow_seconds=0.3, max_faulty_attempts=2,
             seed=args.chaos_seed)
-    supervisor = SupervisorConfig(
-        workers=args.workers if args.workers is not None else 2,
-        lease_seconds=1.0, heartbeat_seconds=0.15,
-        max_retries=6, backoff_base=0.02, backoff_cap=0.25,
-        speculation_min_seconds=0.3)
     run = run_fleet_supervised(
         spec, sessions, seed=args.seed, shards=shards,
         contention=not args.no_contention, calibration=calibration,

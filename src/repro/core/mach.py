@@ -23,15 +23,11 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Deque, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..config import MachConfig
-
-_AUX_MASK = 0xFFFF
-_TAG_MASK = 0xFFFFFFFF
 
 
 @dataclass
@@ -91,24 +87,12 @@ class FrozenMach:
     frame_index: int
     table: Dict[int, Tuple[int, int]]  # digest -> (address, aux)
     digests: np.ndarray  # uint64 array of resident digests
+    #: ``(digests, addresses, aux)`` as aligned arrays, in ``table`` order.
+    columns: Tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def entries(self) -> int:
         return len(self.table)
-
-    @cached_property
-    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(digests, addresses, aux)`` as aligned int64 arrays.
-
-        Computed lazily from ``table`` (the batched write path seeds it
-        directly from the arrays it already holds).
-        """
-        count = len(self.table)
-        dig = np.fromiter(self.table.keys(), dtype=np.int64, count=count)
-        vals = np.fromiter(
-            (v for entry in self.table.values() for v in entry),
-            dtype=np.int64, count=2 * count).reshape(count, 2)
-        return dig, vals[:, 0].copy(), vals[:, 1].copy()
 
 
 class MachRing:
@@ -201,8 +185,3 @@ class MachRing:
         found = match >= 0
         addresses[found] = ring_a[match[found]]
         return found, addresses, np.where(found, match, end) - first
-
-
-def split_digest(deep_digest: int) -> Tuple[int, int]:
-    """Split a 48-bit deep digest into (crc32 tag, crc16 aux)."""
-    return deep_digest & _TAG_MASK, (deep_digest >> 32) & _AUX_MASK

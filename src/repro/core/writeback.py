@@ -588,13 +588,11 @@ class WritebackEngine:
                 pointers[resident_idx].tolist(),
                 aux[resident_idx].tolist())
         }
+        # Fancy indexing copies, so no column aliases the layout arrays.
         dump = FrozenMach(
             frame.index, table,
-            np.fromiter(table.keys(), dtype=np.uint64, count=len(table)))
-        # Seed the lazy column view from arrays already in hand (fancy
-        # indexing copies, so nothing aliases the layout arrays).
-        dump.__dict__["columns"] = (
-            tags[resident_idx], pointers[resident_idx], aux[resident_idx])
+            np.fromiter(table.keys(), dtype=np.uint64, count=len(table)),
+            (tags[resident_idx], pointers[resident_idx], aux[resident_idx]))
         ring.ingest_frozen(dump)
 
         matches = FrameMatches(

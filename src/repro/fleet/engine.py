@@ -266,17 +266,9 @@ def _score_chunk(spec: PopulationSpec, chunk: SessionChunk,
     }
 
 
-def _chunk_bounds(n_sessions: int) -> List[Tuple[int, int]]:
-    """(start, count) per chunk, fixed SESSION_CHUNK stride."""
-    bounds = []
-    for start in range(0, n_sessions, SESSION_CHUNK):
-        bounds.append((start, min(SESSION_CHUNK, n_sessions - start)))
-    return bounds
-
-
-def _stripes(n_chunks: int, shards: int) -> List[range]:
-    """Contiguous chunk stripes, one per shard (some may be empty)."""
-    base, extra = divmod(n_chunks, shards)
+def split_stripes(n_items: int, shards: int) -> List[range]:
+    """Contiguous index stripes, one per shard (some may be empty)."""
+    base, extra = divmod(n_items, shards)
     stripes = []
     lo = 0
     for shard in range(shards):
@@ -284,6 +276,56 @@ def _stripes(n_chunks: int, shards: int) -> List[range]:
         stripes.append(range(lo, lo + size))
         lo += size
     return stripes
+
+
+def plan_stripes(n_sessions: int, shards: int
+                 ) -> Tuple[Tuple[Tuple[int, int], ...],
+                            List[Tuple[int, ...]]]:
+    """(chunk bounds, per-stripe chunk ids) for a run — the stripe plan
+    shared verbatim by the serial fold and the supervised service.
+
+    Chunks are ``(start, count)`` at a fixed :data:`SESSION_CHUNK`
+    stride; stripes are contiguous runs of chunk ids.
+    """
+    bounds = tuple((start, min(SESSION_CHUNK, n_sessions - start))
+                   for start in range(0, n_sessions, SESSION_CHUNK))
+    stripes = [tuple(r) for r in split_stripes(len(bounds), shards)]
+    return bounds, stripes
+
+
+def check_fleet_args(n_sessions: int, shards: int) -> None:
+    """Reject a population size or shard count no run can use."""
+    if n_sessions < 1:
+        raise FleetError("need at least one session")
+    if shards < 1:
+        raise FleetError("need at least one shard")
+
+
+def plan_fleet_run(spec: PopulationSpec, n_sessions: int, shards: int,
+                   calibration: Optional[FleetCalibration],
+                   config: Optional[SimulationConfig],
+                   progress: Optional[Callable[[str], None]]
+                   ) -> Tuple[Dict[str, np.ndarray], float,
+                              Tuple[Tuple[int, int], ...],
+                              List[Tuple[int, ...]]]:
+    """The preamble of :func:`run_fleet` and its supervised twin.
+
+    Checks the arguments, calibrates on the fly (or checks the given
+    calibration's fingerprint), and plans the stripes.  Returns the
+    surrogate coefficient tables, the frame rate, and the
+    :func:`plan_stripes` plan.
+    """
+    check_fleet_args(n_sessions, shards)
+    if calibration is None:
+        calibration = calibrate(spec, config=config, progress=progress)
+    if calibration.fingerprint != spec.fingerprint():
+        raise FleetError(
+            "calibration fingerprint does not match the population "
+            "spec — rebuild it with load_or_calibrate/calibrate")
+    tables = calibration.coefficient_arrays(spec)
+    fps = (config or SimulationConfig()).video.fps
+    bounds, stripes = plan_stripes(n_sessions, shards)
+    return tables, fps, bounds, stripes
 
 
 def cohort_keys(spec: PopulationSpec) -> List[str]:
@@ -367,21 +409,9 @@ def run_fleet(spec: PopulationSpec, n_sessions: int, seed: int = 0,
     Returns:
         A :class:`FleetResult` of per-cohort online aggregates.
     """
-    if n_sessions < 1:
-        raise FleetError("need at least one session")
-    if shards < 1:
-        raise FleetError("need at least one shard")
-    if calibration is None:
-        calibration = calibrate(spec, config=config, progress=progress)
-    if calibration.fingerprint != spec.fingerprint():
-        raise FleetError(
-            "calibration fingerprint does not match the population "
-            "spec — rebuild it with load_or_calibrate/calibrate")
-    tables = calibration.coefficient_arrays(spec)
-    fps = (config or SimulationConfig()).video.fps
+    tables, fps, bounds, stripes = plan_fleet_run(
+        spec, n_sessions, shards, calibration, config, progress)
     model = PopulationModel(spec, seed)
-    bounds = _chunk_bounds(n_sessions)
-    stripes = _stripes(len(bounds), shards)
 
     # The serial fold goes through the same merge plane the supervised
     # shard service uses, so there is exactly one fold code path to

@@ -50,12 +50,11 @@ from .cell import CellLoadAccumulator, ContentionField
 from .engine import (
     CohortAggregate,
     FleetResult,
-    _chunk_bounds,
-    _stripes,
     cohort_keys,
     compute_load_stripe,
     compute_score_stripe,
 )
+from .engine import plan_stripes  # noqa: F401 — re-exported: tasks are cut from it
 from .population import PopulationModel, PopulationSpec
 from .sketches import DEFAULT_QUANTUM
 
@@ -96,16 +95,6 @@ class StripeWorld:
     def stripe_sessions(self, task: StripeTask) -> int:
         """How many sessions ``task``'s chunks cover."""
         return sum(self.bounds[chunk][1] for chunk in task.chunks)
-
-
-def plan_stripes(n_sessions: int, shards: int
-                 ) -> Tuple[Tuple[Tuple[int, int], ...],
-                            List[Tuple[int, ...]]]:
-    """(chunk bounds, per-stripe chunk ids) for a run — the stripe plan
-    shared verbatim by the serial fold and the supervised service."""
-    bounds = tuple(_chunk_bounds(n_sessions))
-    stripes = [tuple(r) for r in _stripes(len(bounds), shards)]
-    return bounds, stripes
 
 
 def make_tasks(phase: str, stripes: Sequence[Tuple[int, ...]]

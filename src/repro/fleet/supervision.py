@@ -5,10 +5,10 @@ The control plane over :mod:`repro.fleet.shard`'s data plane.  A
 worker processes under a deterministic protocol:
 
 * **Leases with heartbeat deadlines** — every attempt holds a lease
-  that its heartbeats keep renewing; a worker that stops heartbeating
-  (wedged, stalled, swapped out) has its lease revoked, its process
-  killed, and its stripe retried.  Crashes are detected directly from
-  process exit.
+  that its heartbeats (every ``lease_seconds / 8``) keep renewing; a
+  worker that stops heartbeating (wedged, stalled, swapped out) has its
+  lease revoked, its process killed, and its stripe retried.  Crashes
+  are detected directly from process exit.
 * **Bounded retries with seeded backoff** — a failed stripe relaunches
   after :func:`repro.backoff.backoff_delay` (exponential + seeded
   jitter, shared with the matrix runner), and a stripe that fails more
@@ -16,12 +16,16 @@ worker processes under a deterministic protocol:
   :class:`~repro.errors.ShardError` instead of livelocking.
 * **Speculative re-execution** — once enough stripes have completed to
   establish a median duration, a straggler (running longer than
-  ``speculation_factor`` x median, with a floor) gets a second attempt
-  racing the first; whichever delivers first wins and the loser is
-  killed.  The merge plane dedups, so both finishing is harmless.
+  three times the median, with a floor) gets a second attempt racing
+  the first; whichever delivers first wins and the loser is killed.
+  The merge plane dedups, so both finishing is harmless.
 * **Validation + quarantine before merge** — every delivered partial
   passes :func:`~repro.fleet.shard.validate_partial`; a corrupt one is
   rejected (counted, evented) and its stripe retried.
+
+With ``workers=0`` the same loop runs each attempt in-process instead
+of forking it; only the fault shapes that need a process (CRASH,
+STALL) differ, and those fail the attempt at once.
 
 Timing here is deliberately *wall-clock*: leases and speculation react
 to real elapsed time.  None of it can perturb the result — stripes are
@@ -48,7 +52,7 @@ from ..config import SimulationConfig
 from ..errors import FleetError, ShardError
 from ..faults import ShardFault, ShardFaultConfig, ShardFaultPlan
 from ..jsonable import Jsonable, jsonable
-from .engine import FleetResult
+from .engine import FleetResult, plan_fleet_run
 from .population import PopulationSpec
 from .shard import (
     PHASE_LOAD,
@@ -61,15 +65,30 @@ from .shard import (
     execute_stripe,
     load_stripe_checkpoint,
     make_tasks,
-    plan_stripes,
     save_stripe_checkpoint,
     tamper_partial,
 )
-from .surrogate import FleetCalibration, calibrate
+from .surrogate import FleetCalibration
 
 #: Fork start method: workers inherit the (immutable) stripe world
 #: without pickling and start in milliseconds.
 _CTX = multiprocessing.get_context("fork")
+
+#: Pause between two turns of the supervisor loop (seconds).
+_POLL_SECONDS = 0.02
+#: Retry backoff: seeded exponential delay from this base, capped.
+_BACKOFF_BASE = 0.02
+_BACKOFF_CAP = 0.25
+#: A running attempt is a straggler once it has run this many times
+#: the phase's median stripe time (and ``speculation_min_seconds``)...
+_SPECULATION_FACTOR = 3.0
+#: ...which needs at least this many completed stripes to measure.
+_SPECULATION_MIN_COMPLETED = 2
+#: Speculative attempts may over-commit the pool by this many slots.
+#: A pool saturated with stragglers is exactly when speculation matters
+#: most — and stragglers are (by definition) not making progress, so a
+#: bounded spare is cheap.
+_SPECULATION_SLACK = 1
 
 
 def _now() -> float:
@@ -83,45 +102,32 @@ def _now() -> float:
 
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Knobs of the supervision protocol (all durations in seconds)."""
+    """Knobs of the supervision protocol (all durations in seconds).
+
+    ``workers=0`` runs every attempt in-process (no pool, so nothing to
+    speculate with).  Heartbeats come every ``lease_seconds / 8``.
+    """
 
     workers: int = 2
     lease_seconds: float = 2.0
-    heartbeat_seconds: float = 0.25
-    poll_seconds: float = 0.02
     max_retries: int = 4
-    backoff_base: float = 0.05
-    backoff_cap: float = 1.0
     speculate: bool = True
-    speculation_factor: float = 3.0
-    speculation_min_completed: int = 2
     speculation_min_seconds: float = 0.5
-    #: Speculative attempts may over-commit the pool by this many
-    #: slots.  A pool saturated with stragglers is exactly when
-    #: speculation matters most — and stragglers are (by definition)
-    #: not making progress, so a bounded spare is cheap.
-    speculation_slack: int = 1
-    #: Testing hook: raise ShardError after this many stripe
-    #: completions in one phase — simulates a mid-run kill so tests
-    #: can exercise checkpoint resume deterministically.
-    halt_after_stripes: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ShardError(f"workers must be >= 0, got {self.workers}")
-        if self.lease_seconds <= 0.0 or self.heartbeat_seconds <= 0.0:
-            raise ShardError("lease_seconds and heartbeat_seconds must "
-                             "be > 0")
-        if self.heartbeat_seconds >= self.lease_seconds:
+        if self.lease_seconds <= 0.0:
             raise ShardError(
-                f"heartbeat_seconds ({self.heartbeat_seconds}) must be "
-                f"< lease_seconds ({self.lease_seconds}) or every "
-                "lease expires before its first renewal")
+                f"lease_seconds must be > 0, got {self.lease_seconds}")
         if self.max_retries < 0:
             raise ShardError(
                 f"max_retries must be >= 0, got {self.max_retries}")
-        if self.speculation_factor < 1.0:
-            raise ShardError("speculation_factor must be >= 1")
+
+    @property
+    def heartbeat_seconds(self) -> float:
+        """Heartbeat period: eight renewals per lease."""
+        return self.lease_seconds / 8
 
 
 @jsonable
@@ -179,18 +185,40 @@ class SupervisionReport(Jsonable):
         return values[min(len(values) - 1, int(0.99 * len(values)))]
 
 
+def _run_attempt(world: StripeWorld, task: StripeTask, attempt: int,
+                 plan: Optional[ShardFaultPlan],
+                 fault: Optional[ShardFault]) -> Tuple[str, object]:
+    """Compute one stripe attempt, shaped by its injected fault.
+
+    A SLOW attempt sleeps first (a straggler, not a failure: speculation's
+    prey), a CORRUPT one tampers with its sealed partial, and any
+    exception becomes a ``("worker_error", text)`` message.  Returns the
+    message the attempt delivers: ``("result", partial JSON)`` or the
+    error.
+    """
+    try:
+        if fault is ShardFault.SLOW and plan is not None:
+            time.sleep(plan.slow_seconds(task.phase, task.stripe_id,
+                                         attempt))
+        partial = execute_stripe(world, task)
+        if fault is ShardFault.CORRUPT:
+            partial = tamper_partial(partial)
+        return "result", partial.to_jsonable()
+    except Exception as exc:  # repro-lint: disable=E002 isolation boundary: an attempt reports any failure as a message instead of dying silently
+        return "worker_error", f"{type(exc).__name__}: {exc}"
+
+
 def _worker_main(conn: Connection, world: StripeWorld, task: StripeTask,
                  attempt: int, plan: Optional[ShardFaultPlan],
+                 fault: Optional[ShardFault],
                  heartbeat_seconds: float) -> None:
     """Entry point of one stripe attempt in a worker process.
 
     Heartbeats on a daemon thread renew the parent-side lease; the
-    main thread computes the stripe and ships the sealed partial.
-    Injected faults reshape this attempt exactly as the seeded plan
-    dictates, independent of scheduling.
+    main thread runs :func:`_run_attempt` and ships its message.  A
+    STALL attempt hangs and a CRASH attempt exits after the compute,
+    exactly as the seeded plan dictates, independent of scheduling.
     """
-    fault = (plan.stripe_fault(task.phase, task.stripe_id, attempt)
-             if plan is not None else None)
     if fault is ShardFault.STALL:
         # A wedged worker: no heartbeats, no progress, no exit.  The
         # parent's lease revocation is the only way out (SIGKILL).
@@ -208,29 +236,17 @@ def _worker_main(conn: Connection, world: StripeWorld, task: StripeTask,
                     return
 
     threading.Thread(target=_beat, daemon=True).start()
-    try:
-        if fault is ShardFault.SLOW and plan is not None:
-            # A straggler, not a failure: heartbeats keep the lease
-            # alive while the attempt dawdles.  Speculation's prey.
-            time.sleep(plan.slow_seconds(task.phase, task.stripe_id,
-                                         attempt))
-        partial = execute_stripe(world, task)
-        if fault is ShardFault.CORRUPT:
-            partial = tamper_partial(partial)
-        if fault is ShardFault.CRASH:
-            # Dies *after* the compute, *before* the delivery — the
-            # nastiest crash point: work done, result lost.
-            os._exit(3)
-        stop.set()
-        with send_lock:
-            conn.send(("result", partial.to_jsonable()))
-    except Exception as exc:  # repro-lint: disable=E002 isolation boundary: a worker reports any failure as a message instead of dying silently
-        stop.set()
-        with send_lock:
-            try:
-                conn.send(("error", f"{type(exc).__name__}: {exc}"))
-            except OSError:
-                pass
+    message = _run_attempt(world, task, attempt, plan, fault)
+    if fault is ShardFault.CRASH:
+        # Dies *after* the compute, *before* the delivery — the
+        # nastiest crash point: work done, result lost.
+        os._exit(3)
+    stop.set()
+    with send_lock:
+        try:
+            conn.send(message)
+        except OSError:
+            pass
 
 
 @dataclass
@@ -263,8 +279,10 @@ class Supervisor:
     Single-threaded event loop in the parent: drain worker pipes,
     detect deaths and expired leases, relaunch with seeded backoff,
     speculate on stragglers, and feed validated partials to the merge
-    plane.  Raises :class:`~repro.errors.ShardError` when a stripe
-    exhausts its retries (or on the ``halt_after_stripes`` hook).
+    plane.  With ``workers=0`` the loop runs each attempt in-process
+    as it launches; failures, backoff and retry exhaustion go through
+    the same routines.  Raises :class:`~repro.errors.ShardError` when
+    a stripe exhausts its retries.
     """
 
     def __init__(self, world: StripeWorld, tasks: List[StripeTask],
@@ -296,12 +314,33 @@ class Supervisor:
 
     def _launch(self, state: _StripeState, now: float,
                 speculative: bool = False) -> None:
+        task = state.task
         index = state.next_attempt
         state.next_attempt += 1
+        if state.first_started is None:
+            state.first_started = now
+        self._event("speculate" if speculative else "launch", state,
+                    index)
+        if speculative:
+            self.report.speculations += 1
+        fault = (self.plan.stripe_fault(task.phase, task.stripe_id, index)
+                 if self.plan is not None else None)
+        if self.config.workers == 0:
+            # In-process: there is no process to crash and no lease
+            # clock worth spinning on, so those faults fail at once.
+            if fault is ShardFault.CRASH:
+                message: Tuple[str, object] = ("crash", "injected")
+            elif fault is ShardFault.STALL:
+                message = ("lease_revoked", "injected")
+            else:
+                message = _run_attempt(self.world, task, index, self.plan,
+                                       fault)
+            self._receive(state, index, message, _now())
+            return
         recv_conn, send_conn = _CTX.Pipe(duplex=False)
         process = _CTX.Process(
             target=_worker_main,
-            args=(send_conn, self.world, state.task, index, self.plan,
+            args=(send_conn, self.world, task, index, self.plan, fault,
                   self.config.heartbeat_seconds),
             daemon=True)
         process.start()
@@ -309,12 +348,6 @@ class Supervisor:
         state.attempts[index] = _Attempt(
             index=index, process=process, conn=recv_conn, started=now,
             deadline=now + self.config.lease_seconds)
-        if state.first_started is None:
-            state.first_started = now
-        self._event("speculate" if speculative else "launch", state,
-                    index)
-        if speculative:
-            self.report.speculations += 1
 
     def _reap(self, attempt: _Attempt) -> None:
         if attempt.process.is_alive():
@@ -322,10 +355,20 @@ class Supervisor:
         attempt.process.join(timeout=5.0)
         attempt.conn.close()
 
+    def _receive(self, state: _StripeState, index: int,
+                 message: Tuple[str, object], now: float) -> None:
+        """Act on an attempt's final message: a result or a failure."""
+        kind, body = message
+        if kind == "result":
+            self._deliver(state, index, body, now)
+        else:
+            self._fail_attempt(state, index, kind, str(body), now)
+
     def _fail_attempt(self, state: _StripeState, index: int, kind: str,
                       detail: str, now: float) -> None:
-        attempt = state.attempts.pop(index)
-        self._reap(attempt)
+        attempt = state.attempts.pop(index, None)
+        if attempt is not None:
+            self._reap(attempt)
         self._event(kind, state, index, detail)
         state.failures += 1
         if kind == "crash":
@@ -346,8 +389,7 @@ class Supervisor:
                 f"{detail}")
         delay = backoff_delay(self.world.seed, SITE_STRIPE_RETRY,
                               state.task.stripe_id, state.failures - 1,
-                              base=self.config.backoff_base,
-                              cap=self.config.backoff_cap)
+                              base=_BACKOFF_BASE, cap=_BACKOFF_CAP)
         state.not_before = now + delay
         self.report.retries += 1
         self._event("retry_scheduled", state, state.next_attempt,
@@ -380,11 +422,6 @@ class Supervisor:
         for loser_index in list(state.attempts):
             self._reap(state.attempts.pop(loser_index))
             self._event("sibling_killed", state, loser_index)
-        halt = self.config.halt_after_stripes
-        if halt is not None and self.completed >= halt:
-            raise ShardError(
-                f"halted after {self.completed} stripe(s) "
-                "(halt_after_stripes testing hook)")
 
     def _drain(self, state: _StripeState, attempt: _Attempt,
                now: float) -> bool:
@@ -396,15 +433,10 @@ class Supervisor:
                 message = attempt.conn.recv()
             except (EOFError, OSError):
                 return False
-            kind = message[0]
-            if kind == "heartbeat":
+            if message[0] == "heartbeat":
                 attempt.deadline = now + self.config.lease_seconds
-            elif kind == "result":
-                self._deliver(state, attempt.index, message[1], now)
-                return True
-            elif kind == "error":
-                self._fail_attempt(state, attempt.index, "worker_error",
-                                   str(message[1]), now)
+            else:
+                self._receive(state, attempt.index, message, now)
                 return True
 
     # -- scheduling -----------------------------------------------------------
@@ -438,7 +470,10 @@ class Supervisor:
                         f"{self.config.lease_seconds}s", now)
 
     def _launch_pending(self, now: float) -> None:
-        slots = self.config.workers - self._live_attempts()
+        # In-process attempts finish inside _launch, so they never
+        # hold a slot: every stripe out of backoff runs this turn.
+        slots = (self.config.workers - self._live_attempts()
+                 if self.config.workers else len(self.states))
         for state in self.states:
             if slots <= 0:
                 return
@@ -452,7 +487,7 @@ class Supervisor:
         config = self.config
         if not config.speculate:
             return
-        if self.completed < config.speculation_min_completed:
+        if self.completed < _SPECULATION_MIN_COMPLETED:
             return
         phase = self.states[0].task.phase
         durations = sorted(
@@ -463,8 +498,8 @@ class Supervisor:
             return
         median = durations[len(durations) // 2]
         threshold = max(config.speculation_min_seconds,
-                        config.speculation_factor * median)
-        slots = (config.workers + config.speculation_slack
+                        _SPECULATION_FACTOR * median)
+        slots = (config.workers + _SPECULATION_SLACK
                  - self._live_attempts())
         for state in self.states:
             if slots <= 0:
@@ -478,103 +513,18 @@ class Supervisor:
 
     def run(self) -> None:
         """Drive every stripe to completion (or raise ShardError)."""
-        if not self.states:
-            return
-        if self.config.workers == 0:
-            self._run_inline()
-            return
         try:
             while self.completed < len(self.states):
                 now = _now()
                 self._poll_attempts(now)
-                if self.completed >= len(self.states):
-                    break
                 self._launch_pending(now)
                 self._speculate(now)
-                time.sleep(self.config.poll_seconds)
+                if self.completed < len(self.states):
+                    time.sleep(_POLL_SECONDS)
         finally:
             for state in self.states:
                 for index in list(state.attempts):
                     self._reap(state.attempts.pop(index))
-
-    def _run_inline(self) -> None:
-        """Pool-free fallback (``workers=0``): stripes run in-process.
-
-        Same protocol semantics where they translate: CRASH and STALL
-        become immediately-detected failures (there is no process to
-        crash and no lease clock worth spinning on), CORRUPT partials
-        are rejected by the same validation, SLOW attempts genuinely
-        sleep.  No speculation — there is nobody to race.
-        """
-        for state in self.states:
-            while not state.done:
-                now = _now()
-                index = state.next_attempt
-                state.next_attempt += 1
-                if state.first_started is None:
-                    state.first_started = now
-                self._event("launch", state, index, "inline")
-                fault = (self.plan.stripe_fault(
-                    state.task.phase, state.task.stripe_id, index)
-                    if self.plan is not None else None)
-                if fault in (ShardFault.CRASH, ShardFault.STALL):
-                    kind = ("crash" if fault is ShardFault.CRASH
-                            else "lease_revoked")
-                    self._fail_inline(state, index, kind, now)
-                    continue
-                if fault is ShardFault.SLOW and self.plan is not None:
-                    time.sleep(self.plan.slow_seconds(
-                        state.task.phase, state.task.stripe_id, index))
-                partial = execute_stripe(self.world, state.task)
-                if fault is ShardFault.CORRUPT:
-                    partial = tamper_partial(partial)
-                try:
-                    self.plane.offer_partial(self.world, state.task,
-                                             partial)
-                except FleetError as exc:
-                    self._fail_inline(state, index, "corrupt_rejected",
-                                      _now(), str(exc))
-                    continue
-                self._deliver_inline(state, index)
-
-    def _fail_inline(self, state: _StripeState, index: int, kind: str,
-                     now: float, detail: str = "injected") -> None:
-        self._event(kind, state, index, detail)
-        state.failures += 1
-        if kind == "crash":
-            self.report.crashes += 1
-        elif kind == "lease_revoked":
-            self.report.lease_revocations += 1
-        elif kind == "corrupt_rejected":
-            self.report.corrupt_rejected += 1
-        if state.failures > self.config.max_retries:
-            raise ShardError(
-                f"stripe ({state.task.phase}, {state.task.stripe_id}) "
-                f"failed {state.failures} times (> max_retries="
-                f"{self.config.max_retries}); last failure: {kind}")
-        self.report.retries += 1
-        time.sleep(backoff_delay(self.world.seed, SITE_STRIPE_RETRY,
-                                 state.task.stripe_id,
-                                 state.failures - 1,
-                                 base=self.config.backoff_base,
-                                 cap=self.config.backoff_cap))
-
-    def _deliver_inline(self, state: _StripeState, index: int) -> None:
-        state.done = True
-        self.completed += 1
-        now = _now()
-        if state.first_started is not None:
-            key = f"{state.task.phase}:{state.task.stripe_id}"
-            self.report.stripe_seconds[key] = now - state.first_started
-        self._event("result", state, index)
-        # Re-fetch what the plane just folded?  No: the partial the
-        # caller checkpoints must be the one that merged, so inline
-        # delivery recomputes nothing — offer already happened.
-        halt = self.config.halt_after_stripes
-        if halt is not None and self.completed >= halt:
-            raise ShardError(
-                f"halted after {self.completed} stripe(s) "
-                "(halt_after_stripes testing hook)")
 
 
 @dataclass
@@ -599,7 +549,10 @@ def run_fleet_supervised(
 
     Same result contract as :func:`~repro.fleet.engine.run_fleet` with
     the same ``(spec, n_sessions, seed, contention)`` — bit-identical
-    ``FleetResult.to_jsonable()`` — plus fault tolerance:
+    ``FleetResult.to_jsonable()`` — plus fault tolerance.  Both share
+    one preamble (:func:`~repro.fleet.engine.plan_fleet_run`: argument
+    checks, calibration, the stripe plan); here each stripe phase then
+    runs under a :class:`Supervisor`.
 
     Args:
         spec / n_sessions / seed / shards / contention / calibration /
@@ -609,7 +562,8 @@ def run_fleet_supervised(
             slow workers (the chaos harness).  For guaranteed
             completion keep ``supervisor.max_retries >=
             faults.max_faulty_attempts``.
-        supervisor: protocol knobs (:class:`SupervisorConfig`).
+        supervisor: protocol knobs (:class:`SupervisorConfig`);
+            ``workers=0`` runs every attempt in-process.
         checkpoint: JSON file persisting completed stripes; a rerun
             resumes from it (stale stripes ignored, corrupt files
             quarantined to ``<path>.corrupt``).
@@ -618,19 +572,8 @@ def run_fleet_supervised(
         :class:`SupervisedFleetRun` — the merged result plus the
         :class:`SupervisionReport` of faults absorbed along the way.
     """
-    if n_sessions < 1:
-        raise FleetError("need at least one session")
-    if shards < 1:
-        raise FleetError("need at least one shard")
-    if calibration is None:
-        calibration = calibrate(spec, config=config, progress=progress)
-    if calibration.fingerprint != spec.fingerprint():
-        raise FleetError(
-            "calibration fingerprint does not match the population "
-            "spec — rebuild it with load_or_calibrate/calibrate")
-    tables = calibration.coefficient_arrays(spec)
-    fps = (config or SimulationConfig()).video.fps
-    bounds, stripes = plan_stripes(n_sessions, shards)
+    tables, fps, bounds, stripes = plan_fleet_run(
+        spec, n_sessions, shards, calibration, config, progress)
     supervisor_config = supervisor or SupervisorConfig()
     plan = ShardFaultPlan.from_config(faults)
     plane = MergePlane(spec, seed)

@@ -35,6 +35,7 @@ import numpy as np
 from ..analysis import format_table
 from ..config import RealtimeConfig, SimulationConfig
 from ..errors import RealtimeError
+from ..fleet.engine import split_stripes
 from ..fleet.population import PopulationModel, PopulationSpec, default_population
 from ..fleet.sketches import HistogramSketch, StreamingMoments, hash_u64_array
 from ..jsonable import Jsonable, jsonable
@@ -309,18 +310,6 @@ def _run_job(job: _ChaosJob, config: SimulationConfig,
                              profile=workload(job.profile_key))
 
 
-def _stripes(n_jobs: int, shards: int) -> List[range]:
-    """Contiguous job stripes, one per shard (some may be empty)."""
-    base, extra = divmod(n_jobs, shards)
-    stripes = []
-    lo = 0
-    for shard in range(shards):
-        size = base + (1 if shard < extra else 0)
-        stripes.append(range(lo, lo + size))
-        lo += size
-    return stripes
-
-
 def run_chaos(config: Optional[SimulationConfig] = None,
               regimes: Sequence[ChaosRegime] = CHAOS_REGIMES,
               videos: Sequence[str] = DEFAULT_MATRIX_VIDEOS,
@@ -344,7 +333,7 @@ def run_chaos(config: Optional[SimulationConfig] = None,
                        fleet_frame_cap, seed, spec)
 
     partials: List[Dict[str, RegimeSLO]] = []
-    for stripe in _stripes(len(jobs), shards):
+    for stripe in split_stripes(len(jobs), shards):
         slos: Dict[str, RegimeSLO] = {}
         for job_index in stripe:
             job = jobs[job_index]

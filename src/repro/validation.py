@@ -433,8 +433,7 @@ def validate_against_paper(
                                 corrupt_rate=0.25,
                                 max_faulty_attempts=2, seed=seed + 1),
         supervisor=SupervisorConfig(
-            workers=2, lease_seconds=0.8, heartbeat_seconds=0.1,
-            max_retries=6, backoff_base=0.02, backoff_cap=0.25))
+            workers=2, lease_seconds=0.8, max_retries=6))
     absorbed = chaos_run.report.faults_absorbed
     identical = (json_mod.dumps(serial_ref.to_jsonable(), sort_keys=True)
                  == json_mod.dumps(chaos_run.result.to_jsonable(),
@@ -457,11 +456,8 @@ def validate_against_paper(
             fleet_spec, 3000, seed=seed, shards=6, contention=False,
             calibration=fleet_calib, config=cfg, faults=slow_faults,
             supervisor=SupervisorConfig(
-                workers=2, lease_seconds=4.0, heartbeat_seconds=0.1,
-                max_retries=3, backoff_base=0.02, backoff_cap=0.25,
-                speculate=speculate, speculation_factor=3.0,
-                speculation_min_completed=2,
-                speculation_min_seconds=0.4))
+                workers=2, lease_seconds=4.0, max_retries=3,
+                speculate=speculate, speculation_min_seconds=0.4))
 
     patient = speculation_run(False)
     eager = speculation_run(True)

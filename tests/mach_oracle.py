@@ -146,8 +146,14 @@ class FrameMach:
         else:
             assert self._cache is not None
             table = {digest: value for digest, value in self._cache.items()}
-        digests = np.fromiter(table.keys(), dtype=np.uint64, count=len(table))
-        return FrozenMach(self.frame_index, table, digests)
+        count = len(table)
+        digests = np.fromiter(table.keys(), dtype=np.uint64, count=count)
+        values = np.fromiter(
+            (v for entry in table.values() for v in entry),
+            dtype=np.int64, count=2 * count).reshape(count, 2)
+        columns = (digests.astype(np.int64), values[:, 0].copy(),
+                   values[:, 1].copy())
+        return FrozenMach(self.frame_index, table, digests, columns)
 
 
 class OracleRing(MachRing):

@@ -112,6 +112,21 @@ class TestErrors:
         argv = [arg.format(**files) for arg in argv]
         self._assert_one_line_error(capsys, argv, fragment)
 
+    @pytest.mark.parametrize("argv, fragment", [
+        (["fleet", "--shards", "0"], "need at least one shard"),
+        (["fleet", "--sessions", "0"], "need at least one session"),
+        (["fleet", "--workers", "-1"], "workers must be >= 0"),
+    ])
+    def test_bad_fleet_argument_fails_before_calibration(
+            self, capsys, monkeypatch, argv, fragment):
+        import repro.fleet
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibrated before checking arguments")
+
+        monkeypatch.setattr(repro.fleet, "calibrate", refuse)
+        self._assert_one_line_error(capsys, argv, fragment)
+
     @staticmethod
     def _assert_one_line_error(capsys, argv, fragment):
         assert main(argv) == 2

@@ -12,7 +12,7 @@ import pytest
 
 from repro.config import MachConfig, VideoConfig
 from repro.errors import SchedulingError
-from repro.core.mach import MachStats, split_digest
+from repro.core.mach import MachStats
 
 from .mach_oracle import FrameMach, MatchKind, OracleRing, record
 
@@ -163,13 +163,6 @@ class TestMachStats:
 
     def test_empty_share(self):
         assert MachStats().top_match_share() == 0.0
-
-
-class TestSplitDigest:
-    def test_split(self):
-        tag, aux = split_digest((0xBEEF << 32) | 0xDEADC0DE)
-        assert tag == 0xDEADC0DE
-        assert aux == 0xBEEF
 
 
 class TestScaledConfig:

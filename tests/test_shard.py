@@ -70,8 +70,7 @@ def _json(result):
 
 def _supervisor(**overrides):
     """Fast-protocol knobs suited to a 1-CPU CI box."""
-    defaults = dict(workers=2, lease_seconds=0.6, heartbeat_seconds=0.1,
-                    max_retries=6, backoff_base=0.02, backoff_cap=0.2,
+    defaults = dict(workers=2, lease_seconds=0.6, max_retries=6,
                     speculation_min_seconds=0.3)
     defaults.update(overrides)
     return SupervisorConfig(**defaults)
@@ -211,7 +210,7 @@ class TestSupervisedRuns:
             spec, 400, seed=5, shards=3, calibration=calib,
             faults=ShardFaultConfig(crash_rate=0.4, corrupt_rate=0.2,
                                     max_faulty_attempts=2, seed=3),
-            supervisor=_supervisor(workers=0, backoff_base=0.0))
+            supervisor=_supervisor(workers=0))
         assert _json(run.result) == _json(serial)
         assert run.report.faults_absorbed > 0
 
@@ -223,8 +222,7 @@ class TestSupervisedRuns:
                 faults=ShardFaultConfig(crash_rate=1.0,
                                         max_faulty_attempts=99,
                                         seed=0),
-                supervisor=_supervisor(workers=0, backoff_base=0.0,
-                                       max_retries=2))
+                supervisor=_supervisor(workers=0, max_retries=2))
 
     def test_lease_revokes_stalled_worker(self, spec, calib):
         serial = run_fleet(spec, 400, seed=5, shards=1, contention=False,
@@ -237,6 +235,44 @@ class TestSupervisedRuns:
             supervisor=_supervisor())
         assert run.report.lease_revocations == 2
         assert _json(run.result) == _json(serial)
+
+    @pytest.mark.parametrize("chaos_seed", [2, 7])
+    def test_inline_and_forked_absorb_faults_alike(self, spec, calib,
+                                                   chaos_seed):
+        """One protocol: ``workers=0`` counts, retries and merges a
+        crash/stall/corrupt schedule exactly as the worker pool does."""
+        serial = run_fleet(spec, 500, seed=5, shards=1,
+                           calibration=calib)
+        faults = ShardFaultConfig(crash_rate=0.3, stall_rate=0.15,
+                                  corrupt_rate=0.2, max_faulty_attempts=2,
+                                  seed=chaos_seed)
+        counters = []
+        for workers in (0, 2):
+            run = run_fleet_supervised(
+                spec, 500, seed=5, shards=4, calibration=calib,
+                faults=faults,
+                supervisor=_supervisor(workers=workers, speculate=False))
+            assert _json(run.result) == _json(serial)
+            report = run.report
+            counters.append((report.crashes, report.lease_revocations,
+                             report.corrupt_rejected, report.worker_errors,
+                             report.retries))
+        assert counters[0] == counters[1]
+        assert min(counters[0][:3]) > 0  # every fault kind was drawn
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_worker_error_is_counted_and_retried(self, spec, calib,
+                                                 monkeypatch, workers):
+        def explode(world, task):
+            raise RuntimeError("stripe exploded")
+
+        monkeypatch.setattr("repro.fleet.supervision.execute_stripe",
+                            explode)
+        with pytest.raises(ShardError, match="worker_error"):
+            run_fleet_supervised(
+                spec, 400, seed=5, shards=2, contention=False,
+                calibration=calib,
+                supervisor=_supervisor(workers=workers, max_retries=1))
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 4))
     @settings(max_examples=5, deadline=None)
@@ -256,17 +292,33 @@ class TestSupervisedRuns:
         assert _json(run.result) == _json(serial)
 
     def test_kill_then_checkpoint_resume_is_bit_identical(
-            self, spec, calib, tmp_path):
+            self, spec, calib, tmp_path, monkeypatch):
         serial = run_fleet(spec, 500, seed=5, shards=1,
                            calibration=calib)
         ckpt = str(tmp_path / "fleet.ckpt.json")
         faults = ShardFaultConfig(crash_rate=0.3, corrupt_rate=0.2,
                                   max_faulty_attempts=2, seed=11)
-        with pytest.raises(ShardError, match="halted"):
-            run_fleet_supervised(
-                spec, 500, seed=5, shards=4, calibration=calib,
-                faults=faults, checkpoint=ckpt,
-                supervisor=_supervisor(halt_after_stripes=2))
+
+        class Killed(Exception):
+            pass
+
+        saves = []
+
+        def save_twice_then_die(path, meta, partials):
+            # A mid-run kill: the run dies after two stripe checkpoints.
+            if len(saves) == 2:
+                raise Killed
+            saves.append(len(partials))
+            save_stripe_checkpoint(path, meta, partials)
+
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.fleet.supervision.save_stripe_checkpoint",
+                          save_twice_then_die)
+            with pytest.raises(Killed):
+                run_fleet_supervised(
+                    spec, 500, seed=5, shards=4, calibration=calib,
+                    faults=faults, checkpoint=ckpt,
+                    supervisor=_supervisor())
         assert os.path.exists(ckpt)
         run = run_fleet_supervised(spec, 500, seed=5, shards=4,
                                    calibration=calib, faults=faults,
